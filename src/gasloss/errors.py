@@ -25,6 +25,10 @@ class EmptyInstance(InstanceError):
     pass
 
 
+class NonFiniteValue(InstanceError):
+    pass
+
+
 class LengthMismatch(GaslossError, ValueError):
     pass
 

@@ -4,8 +4,9 @@ A historical operation mix induces a (generally suboptimal) row strategy
 in the worst-case game; the column player's best reply to it gives a
 loss that is never worse than the worst case.  For a box of plausible
 frequency vectors, the worst loss over the box is a linear-fractional
-minimax, solved by bisection on the value with a feasibility LP at each
-step in the gas-scaled variables z_i = f_i * g_i.
+minimax in the gas-scaled variables z_i = f_i * g_i; the Charnes-Cooper
+substitution s = z / max_j (z . U_j) turns it into one LP whose slack
+basis is feasible.
 """
 
 from dataclasses import dataclass
@@ -14,8 +15,6 @@ import numpy as np
 
 from . import approx, lpcore, model
 from .errors import DegenerateProfile, EmptyBox, NumericalFailure
-
-BISECTION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,13 @@ def hist_loss(instance: model.ResourceInstance, f) -> HistReport:
 def hist_loss_range(instance: model.ResourceInstance, f_low,
                     f_high) -> HistReport:
     """Worst loss over all frequency vectors in a box intersected with
-    the simplex: min over f of the best-reply payoff, by bisection on
-    the payoff level with a feasibility LP per step."""
+    the simplex: min over f of the best-reply payoff, as one LP.
+
+    With s = z / max_j (z . U_j) the payoff level is 1 / sum(s), and the
+    box f_low <= f <= f_high, sum f = 1 becomes z_low * (s . 1/g) <= s <=
+    z_high * (s . 1/g); so maximize sum(s) subject to U^T s <= 1 and the
+    scaled box, all "<=" rows with right-hand side 0 or 1.
+    """
     f_low = np.asarray(f_low, dtype=float)
     f_high = np.asarray(f_high, dtype=float)
     m = instance.num_operations
@@ -78,54 +82,19 @@ def hist_loss_range(instance: model.ResourceInstance, f_low,
     n = U.shape[1]
     z_low = f_low * g
     z_high = f_high * g
-
-    def feasible(v):
-        """min s s.t. sum_i z_i (u_ij - v) <= s for all j, z in box,
-        sum z_i / g_i = 1; variables t = z - z_low >= 0, s free."""
-        shifted = U - v
-        c = np.zeros(m + 2)
-        c[m], c[m + 1] = 1.0, -1.0
-        rows = []
-        bounds = []
-        senses = []
-        for j in range(n):
-            row = np.concatenate([shifted[:, j], [-1.0, 1.0]])
-            rows.append(row)
-            bounds.append(-float(z_low @ shifted[:, j]))
-            senses.append("<=")
-        for i in range(m):        # upper box bounds on t
-            row = np.zeros(m + 2)
-            row[i] = 1.0
-            rows.append(row)
-            bounds.append(z_high[i] - z_low[i])
-            senses.append("<=")
-        row = np.concatenate([1.0 / g, [0.0, 0.0]])
-        rows.append(row)
-        bounds.append(1.0 - float(z_low @ (1.0 / g)))
-        senses.append("==")
-        res = lpcore.solve_lp(lpcore.LinearProgram(
-            c, np.array(rows), np.array(bounds), tuple(senses)))
-        if res.status != "optimal":
-            return None
-        if res.value > lpcore.FEAS_TOL:
-            return None
-        return z_low + res.x[:m]
-
-    lo, hi = 0.0, 1.0
-    witness_z = feasible(hi)
-    if witness_z is None:
+    # f_i <= 1 and f_i >= 0 always hold, so those bounds need no row
+    upper = np.flatnonzero(f_high < 1)
+    lower = np.flatnonzero(f_low > 0)
+    eye = np.eye(m)
+    rows = np.vstack([U.T,
+                      eye[upper] - np.outer(z_high[upper], 1.0 / g),
+                      np.outer(z_low[lower], 1.0 / g) - eye[lower]])
+    bounds = np.zeros(rows.shape[0])
+    bounds[:n] = 1.0
+    res = lpcore.solve_lp(lpcore.LinearProgram(
+        np.ones(m), rows, bounds, ("<=",) * rows.shape[0], maximize=True))
+    if res.status != "optimal" or res.value <= 0:
         raise NumericalFailure("range minimax: no feasible frequency found")
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        z = feasible(mid)
-        if z is None:
-            lo = mid
-        else:
-            hi = mid
-            witness_z = z
-    f = witness_z / g
-    total = f.sum()
-    if total > 0:
-        f = f / total
-    x = witness_z / witness_z.sum()
-    return _report_for_strategy(U, f, x)
+    s = np.maximum(res.x, 0.0)
+    f = s / g
+    return _report_for_strategy(U, f / f.sum(), s / s.sum())

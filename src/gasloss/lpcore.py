@@ -2,8 +2,13 @@
 
 A two-phase tableau simplex with a largest-coefficient pivot rule and a
 Bland's-rule fallback once a budget of degenerate pivots is exhausted.
-Problem sizes in this package are tiny (at most a few hundred variables),
-so a dense tableau is the right tool.
+Phase 1 starts from the slack basis: a "<=" row with b >= 0 starts on its
+own slack, so only "==" rows and sign-flipped rows carry an artificial,
+and an LP with none of those leaves phase 1 at once.  An "optimal" answer
+is checked to be finite, nonnegative and feasible to a tolerance scaled
+by the data, or NumericalFailure is raised.  Problem sizes in this
+package are tiny (at most a few hundred variables), so a dense tableau
+is the right tool.
 
 All numeric tolerances used by the solver live here as module constants.
 """
@@ -122,38 +127,44 @@ def _run_simplex(T, basis, allowed):
 def solve_lp(lp: LinearProgram) -> LPResult:
     """Solve a small dense LP, returning primal and dual solutions.
 
-    When the status is "optimal" the primal satisfies every constraint
-    within FEAS_TOL and the dual closes the strong-duality gap.
+    When the status is "optimal" the primal is finite, nonnegative and
+    satisfies every constraint within FEAS_TOL scaled by the size of the
+    data (NumericalFailure otherwise), and the dual closes the
+    strong-duality gap.
     """
     c = lp.objective.copy()
     if lp.maximize:
         c = -c
-    a = lp.matrix.copy()
-    b = lp.bounds.copy()
+    a = lp.matrix
+    b = lp.bounds
     m, n = a.shape
 
     # Equality standard form: slacks for "<=" rows, then make b >= 0.
-    slack_rows = [i for i, s in enumerate(lp.senses) if s == "<="]
-    n_slack = len(slack_rows)
+    is_slack = np.array([s == "<=" for s in lp.senses], dtype=bool)
+    slack_rows = np.flatnonzero(is_slack)
+    n_slack = slack_rows.size
+    basis = np.empty(m, dtype=int)
+    basis[slack_rows] = n + np.arange(n_slack)
     aeq = np.hstack([a, np.zeros((m, n_slack))])
-    for col, row in enumerate(slack_rows):
-        aeq[row, n + col] = 1.0
+    aeq[slack_rows, basis[slack_rows]] = 1.0
     ceq = np.concatenate([c, np.zeros(n_slack)])
     flipped = b < 0
     aeq[flipped] *= -1.0
     b = np.where(flipped, -b, b)
     n_real = n + n_slack
 
-    # Phase 1: artificial basis, minimize artificial mass.
-    T = np.zeros((m + 1, n_real + m + 1))
+    # Phase 1: a "<=" row with b >= 0 starts from its own slack; "==" and
+    # flipped rows start from an artificial.  Minimize artificial mass.
+    art_rows = np.flatnonzero(flipped | ~is_slack)
+    n_art = art_rows.size
+    basis[art_rows] = n_real + np.arange(n_art)
+    T = np.zeros((m + 1, n_real + n_art + 1))
     T[:m, :n_real] = aeq
-    T[:m, n_real:n_real + m] = np.eye(m)
+    T[art_rows, basis[art_rows]] = 1.0
     T[:m, -1] = b
-    basis = np.arange(n_real, n_real + m)
-    T[-1, n_real:n_real + m] = 1.0
-    T[-1] -= T[:m].sum(axis=0)
-    allowed = np.ones(n_real + m, dtype=bool)
-    status = _run_simplex(T, basis, allowed)
+    T[-1, n_real:-1] = 1.0
+    T[-1] -= T[art_rows].sum(axis=0)
+    status = _run_simplex(T, basis, np.ones(n_real + n_art, dtype=bool))
     phase1 = -T[-1, -1]
     if status != "optimal" or phase1 > 1e-7:
         return LPResult("infeasible", np.nan, np.full(n, np.nan),
@@ -199,6 +210,14 @@ def solve_lp(lp: LinearProgram) -> LPResult:
             raise NumericalFailure("singular basis in dual recovery") from exc
         y[rows_idx] = y_kept
     y = np.where(flipped, -y, y)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise NumericalFailure("LP solution is not finite")
+    scale = np.abs(a).max(initial=0.0) * np.abs(x).max(initial=1.0)
+    tol = FEAS_TOL * (1 + scale + np.abs(b).max(initial=0.0))
+    resid = a @ x - lp.bounds
+    resid = np.where(is_slack, resid, np.abs(resid))
+    if not (x.min(initial=0.0) >= -tol and resid.max(initial=0.0) <= tol):
+        raise NumericalFailure("LP solution fails its feasibility check")
     if lp.maximize:
         return LPResult("optimal", -value, x, -y)
     return LPResult("optimal", value, x, y)

@@ -18,6 +18,7 @@ from .errors import (
     InstanceError,
     LengthMismatch,
     NegativeUsage,
+    NonFiniteValue,
     NonPositiveCapacity,
     NumericalFailure,
 )
@@ -104,6 +105,8 @@ def instance_from_arrays(operation_names, resource_names, usage, capacities,
             f"{len(op_names)} operations x {len(res_names)} resources")
     if capacities.shape != (len(res_names),):
         raise LengthMismatch("one capacity per resource required")
+    if not (np.all(np.isfinite(usage)) and np.all(np.isfinite(capacities))):
+        raise NonFiniteValue("usage and capacities must be finite")
 
     for names, kind in ((op_names, "operation"), (res_names, "resource")):
         seen = set()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gasloss import approx, model
+from gasloss import approx, formats, model
 from helpers import feasible_region_gas_max, random_instance
 
 
@@ -65,6 +65,19 @@ class TestOracle:
     def test_with_oracle_flag(self, table1):
         rep = approx.approximability(table1, with_oracle=True)
         assert rep.oracle_alpha == pytest.approx(rep.alpha, abs=1e-7)
+
+    @pytest.mark.parametrize("size", [(400, 100, 0.3, 100005),
+                                      (200, 50, 0.3, 100103)])
+    def test_sparse_instances_are_certified(self, size):
+        # sparse games whose row LP runs long degenerate pivot sequences
+        inst = formats.random_instance_doc(*size).to_instance()
+        rep = approx.approximability(inst, with_oracle=True)
+        U = approx.build_game(inst).entries
+        lower = 1.0 / np.max(rep.game.row_strategy @ U)
+        upper = 1.0 / np.min(U @ rep.game.col_strategy)
+        assert lower == pytest.approx(rep.alpha, rel=1e-9)
+        assert upper == pytest.approx(rep.alpha, rel=1e-9)
+        assert rep.oracle_alpha == pytest.approx(rep.alpha, rel=1e-9)
 
 
 class TestProperties:

@@ -44,6 +44,16 @@ class TestMeasure:
         assert "warning" in err and "'a'" in err
         assert "b: g = 1" in out
 
+    def test_nan_capacity_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"resources": [{"name": "r", "capacity": NaN}],'
+            ' "operations": [{"name": "a", "usage": {"r": 1}}]}')
+        code, out, err = run(capsys, "measure", str(path))
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "measure", "/nonexistent/instance.json")
         assert code == 2

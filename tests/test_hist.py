@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gasloss import approx, hist, model
+from gasloss import approx, formats, hist, model
 from gasloss.errors import DegenerateProfile, EmptyBox
 from helpers import random_instance
 
@@ -78,6 +78,15 @@ class TestHistLossRange:
     def test_full_simplex_recovers_worst_case(self, table1):
         report = hist.hist_loss_range(table1, np.zeros(4), np.ones(4))
         assert report.alpha_hist == pytest.approx(11 / 8, abs=1e-7)
+        # the two 30x8 instances have near-tied payoff levels close to alpha
+        instances = [random_instance(seed) for seed in range(30)] + [
+            formats.random_instance_doc(30, 8, 0.5, seed).to_instance()
+            for seed in (1800200, 3200100)]
+        for inst in instances:
+            m = inst.num_operations
+            report = hist.hist_loss_range(inst, np.zeros(m), np.ones(m))
+            assert report.alpha_hist == pytest.approx(
+                approx.approximability(inst).alpha, rel=1e-9)
 
     def test_point_box_consistency_sweep(self, table1):
         rng = np.random.default_rng(29)
@@ -88,17 +97,21 @@ class TestHistLossRange:
             assert abs(box.alpha_hist - point.alpha_hist) <= 1e-8
 
     def test_range_dominates_sampled_points(self, table1):
-        lo = np.array([0.1, 0.1, 0.1, 0.1])
-        hi = np.array([0.6, 0.6, 0.6, 0.6])
-        ranged = hist.hist_loss_range(table1, lo, hi)
         rng = np.random.default_rng(31)
-        for _ in range(20):
-            f = lo + rng.random(4) * (hi - lo)
-            f = np.clip(f / f.sum(), lo, hi)
-            if abs(f.sum() - 1) > 1e-12:
-                continue
-            assert ranged.alpha_hist >= hist.hist_loss(
-                table1, f).alpha_hist - 1e-8
+        boxes = [(table1, np.full(4, 0.1), np.full(4, 0.6))]
+        for seed in range(30):
+            inst = random_instance(seed)
+            f = random_simplex_point(rng, inst.num_operations)
+            boxes.append((inst, f / 2, np.minimum(2 * f, 1)))
+        for inst, lo, hi in boxes:
+            ranged = hist.hist_loss_range(inst, lo, hi)
+            for _ in range(20):
+                f = lo + rng.random(lo.size) * (hi - lo)
+                f = np.clip(f / f.sum(), lo, hi)
+                if abs(f.sum() - 1) > 1e-12:
+                    continue
+                assert ranged.alpha_hist >= hist.hist_loss(
+                    inst, f).alpha_hist - 1e-8
 
     def test_attaining_frequency_is_in_box(self, table1):
         lo = np.array([0.1, 0.0, 0.0, 0.1])

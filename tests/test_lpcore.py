@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasloss import lpcore
+from gasloss import approx, formats, lpcore, model
+from gasloss.errors import NumericalFailure
 from gasloss.lpcore import GameSolution, LinearProgram
 
 
@@ -15,6 +16,49 @@ def _random_solvable_lp(rng, n, m):
     b = np.concatenate([b, [10.0]])
     c = rng.random(n)
     return LinearProgram(c, a, b, ("<=",) * (m + 1), maximize=True)
+
+
+def _random_mixed_lp(rng, n, m):
+    """Bounded feasible maximization around a known point x0 >= 0 that
+    mixes "<=" rows with b >= 0, "<=" rows with b < 0 and "==" rows."""
+    x0 = 0.1 + rng.random(n)
+    kinds = rng.integers(0, 3, size=m)
+    a = rng.random((m, n))
+    a[kinds == 1] *= -1.0
+    ax0 = a @ x0
+    b = np.select([kinds == 0, kinds == 1],
+                  [ax0 + 0.1 * rng.random(m), ax0 / 2], ax0)
+    senses = tuple("==" if k == 2 else "<=" for k in kinds)
+    a = np.vstack([a, np.ones(n)])      # keeps the program bounded
+    b = np.concatenate([b, [10.0]])
+    return LinearProgram(rng.normal(size=n), a, b, senses + ("<=",),
+                         maximize=True)
+
+
+def _equality_form_range_lp(m, n, seed):
+    """min v s.t. s.U_j <= v, sum s = 1, t z_low <= s <= t z_high,
+    s.(1/g) = t over a box [f/2, min(2f, 1)] around a Dirichlet mix f:
+    a Charnes-Cooper range LP written with two equality rows."""
+    inst = formats.random_instance_doc(m, n, 0.5, seed).to_instance()
+    f = np.random.default_rng(seed).dirichlet(np.ones(m))
+    g = model.minimal_gas_measure(inst).costs
+    U = approx.build_game(inst).entries
+    z_low, z_high = f / 2 * g, np.minimum(2 * f, 1) * g
+    eye = np.eye(m)
+    # variables s (m), t, v
+    a = np.vstack([
+        np.hstack([U.T, np.zeros((n, 1)), -np.ones((n, 1))]),
+        np.concatenate([np.ones(m), [0.0, 0.0]]),
+        np.hstack([-eye, z_low[:, None], np.zeros((m, 1))]),
+        np.hstack([eye, -z_high[:, None], np.zeros((m, 1))]),
+        np.concatenate([1.0 / g, [-1.0, 0.0]]),
+    ])
+    b = np.zeros(a.shape[0])
+    b[n] = 1.0
+    senses = ("<=",) * n + ("==",) + ("<=",) * (2 * m) + ("==",)
+    c = np.zeros(m + 2)
+    c[-1] = 1.0
+    return LinearProgram(c, a, b, senses)
 
 
 class TestSolveLP:
@@ -57,18 +101,49 @@ class TestSolveLP:
 
     def test_strong_duality_on_random_lps(self):
         rng = np.random.default_rng(11)
-        for _ in range(50):
+        for i in range(100):
             n = rng.integers(1, 9)
             m = rng.integers(1, 9)
-            lp = _random_solvable_lp(rng, n, m)
+            make = _random_solvable_lp if i % 2 else _random_mixed_lp
+            lp = make(rng, n, m)
             res = lpcore.solve_lp(lp)
             assert res.status == "optimal"
+            # primal feasibility
+            slack = lp.bounds - lp.matrix @ res.x
+            eq = np.array(lp.senses) == "=="
+            assert np.all(res.x >= -1e-9)
+            assert np.all(slack >= -1e-8)
+            assert np.all(np.abs(slack[eq]) < 1e-8)
+            # dual feasibility of max c.x: A^T y >= c, y >= 0 on "<=" rows
+            assert np.all(lp.matrix.T @ res.y >= lp.objective - 1e-8)
+            assert np.all(res.y[~eq] >= -1e-9)
+            # zero gap and complementary slackness
             dual_value = float(lp.bounds @ res.y)
             assert dual_value == pytest.approx(
                 res.value, rel=1e-8, abs=1e-8)
-            # complementary slackness
-            slack = lp.bounds - lp.matrix @ res.x
             assert np.all(np.abs(res.y * slack) < 1e-8)
+
+    def test_optimal_answer_is_certified(self):
+        # phase 1 loses primal feasibility on this LP; a wrong answer
+        # must be refused, never reported as "optimal"
+        lp = _equality_form_range_lp(100, 10, 100002)
+        try:
+            res = lpcore.solve_lp(lp)
+        except NumericalFailure:
+            return
+        assert res.status == "optimal"
+        assert np.all(res.x >= -1e-9)
+        resid = lp.matrix @ res.x - lp.bounds
+        eq = np.array(lp.senses) == "=="
+        assert np.all(resid[~eq] <= 1e-8)
+        assert np.all(np.abs(resid[eq]) <= 1e-8)
+
+    def test_non_finite_data_is_never_optimal(self):
+        for bad in (np.inf, np.nan):
+            lp = LinearProgram([1.0], [[1.0]], [bad], ("<=",), maximize=True)
+            with np.errstate(all="ignore"), pytest.raises(
+                    (NumericalFailure, ValueError)):
+                lpcore.solve_lp(lp)
 
 
 class TestZeroSum:

@@ -9,6 +9,7 @@ from gasloss.errors import (
     DuplicateName,
     LengthMismatch,
     NegativeUsage,
+    NonFiniteValue,
     NonPositiveCapacity,
 )
 from helpers import dual_vertex_oracle, random_instance
@@ -31,6 +32,13 @@ class TestValidation:
     def test_zero_capacity_rejected(self):
         with pytest.raises(NonPositiveCapacity):
             model.instance_from_arrays(["a"], ["r1", "r2"], [[1, 1]], [1, 0])
+
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(NonFiniteValue):
+            model.instance_from_arrays(["a"], ["r1", "r2"], [[1, 1]],
+                                       [1, np.nan])
+        with pytest.raises(NonFiniteValue):
+            model.instance_from_arrays(["a"], ["r"], [[np.inf]], [1])
 
     def test_negative_usage_rejected(self):
         with pytest.raises(NegativeUsage):
