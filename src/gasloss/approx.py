@@ -1,10 +1,10 @@
 """Single-dimensional approximability.
 
-The worst-case loss of the minimal gas measure equals the reciprocal of
-the value of a zero-sum game between operations (minimizer) and
-resources (maximizer) with utilities u_ij = w_ij / (B_j * g_i).  An
-independent LP oracle encodes the loss definition directly and is used
-as a cross-check.
+The worst-case loss of the minimal gas measure g is the largest gas of
+a feasible block, max g @ x s.t. W'^T x <= 1 (lpcore.loss_lp); its
+primal and dual solve the zero-sum game between operations (minimizer)
+and resources (maximizer) with utilities u_ij = w_ij / (B_j * g_i),
+whose value is 1 / alpha.  The oracle solves that game directly.
 """
 
 from dataclasses import dataclass
@@ -39,8 +39,7 @@ def build_game(instance: model.ResourceInstance) -> UtilityMatrix:
     lie in [0, 1].
     """
     g = model.minimal_gas_measure(instance).costs
-    w_norm = instance.usage / instance.capacities
-    entries = w_norm / g[:, None]
+    entries = instance.normalized_usage / g[:, None]
     entries = np.asarray(entries)
     entries.setflags(write=False)
     return UtilityMatrix(entries, instance.operation_names,
@@ -49,34 +48,25 @@ def build_game(instance: model.ResourceInstance) -> UtilityMatrix:
 
 def approximability(instance: model.ResourceInstance,
                     with_oracle: bool = False) -> ApproxReport:
-    """Worst-case loss of the minimal measure, via the game value.
+    """Worst-case loss of the minimal measure, by lpcore.loss_lp.
 
-    alpha = 1 / value; the witness block x_i = alpha * x*_i / g_i is
-    feasible and has gas exactly alpha, certifying tightness.
+    The witness block, the LP's optimum, is feasible and has gas exactly
+    alpha, certifying tightness.
     """
     g = model.minimal_gas_measure(instance)
+    sol = lpcore.loss_lp(g.costs, instance.normalized_usage)
+    if not 0 < sol.alpha < np.inf:
+        raise NumericalFailure(f"loss LP ended with alpha {sol.alpha}")
+    oracle = approximability_oracle(instance) if with_oracle else None
+    return ApproxReport(alpha=sol.alpha, measure=g, game=sol.game,
+                        witness=sol.x, oracle_alpha=oracle)
+
+
+def approximability_oracle(instance: model.ResourceInstance) -> float:
+    """The loss as the reciprocal of the game value, by the zero-sum game
+    solver: a formulation independent of approximability's LP."""
     game = lpcore.solve_zero_sum(build_game(instance).entries,
                                  row_minimizes=True)
     if game.value <= 0:
         raise NumericalFailure("nonpositive game value")
-    alpha = 1.0 / game.value
-    witness = alpha * game.row_strategy / g.costs
-    oracle = approximability_oracle(instance) if with_oracle else None
-    return ApproxReport(alpha=alpha, measure=g, game=game,
-                        witness=witness, oracle_alpha=oracle)
-
-
-def approximability_oracle(instance: model.ResourceInstance) -> float:
-    """Direct LP encoding of the loss definition, independent of the game:
-    max total gas of any feasible block under the minimal measure."""
-    g = model.minimal_gas_measure(instance).costs
-    lp = lpcore.LinearProgram(
-        objective=g,
-        matrix=instance.usage.T,
-        bounds=instance.capacities,
-        senses=("<=",) * instance.num_resources,
-        maximize=True)
-    res = lpcore.solve_lp(lp)
-    if res.status != "optimal":
-        raise NumericalFailure(f"oracle LP ended with status {res.status}")
-    return float(res.value)
+    return 1.0 / game.value

@@ -72,9 +72,8 @@ def _instance_summary(instance):
 def cmd_measure(args) -> int:
     instance = _load(args)
     g = model.minimal_gas_measure(instance)
-    w_norm = instance.usage / instance.capacities
     attains = [instance.resource_names[int(j)]
-               for j in np.argmax(w_norm, axis=1)]
+               for j in np.argmax(instance.normalized_usage, axis=1)]
     if args.json:
         _print_json({
             "instance": _instance_summary(instance),
@@ -263,7 +262,8 @@ def _build_parser():
     p = sub.add_parser("approx", help="single-dimensional worst-case loss")
     common(p)
     p.add_argument("--oracle", action="store_true",
-                   help="also run the independent LP oracle")
+                   help="also solve the zero-sum game as an independent "
+                        "check")
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("partition", help="best k-group resource partition")

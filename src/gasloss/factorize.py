@@ -6,7 +6,7 @@ represent the normalized instance.  The loss of such a measure is the
 largest per-dimension loss, each the reciprocal of a zero-sum game
 value.  An alternating per-row / per-column LP heuristic improves on
 the partition-derived starting point; finding the globally optimal
-factorization is left open.
+factorization is left open.  Every LP here is an lpcore.loss_lp.
 """
 
 from dataclasses import dataclass
@@ -42,20 +42,8 @@ def kdim_represents(instance_norm: model.NormalizedInstance, A) -> bool:
     w = instance_norm.matrix
     if A.shape[0] != w.shape[0]:
         raise ValueError("A needs one row per operation")
-    k = A.shape[1]
-    for j in range(w.shape[1]):
-        lp = lpcore.LinearProgram(
-            objective=w[:, j], matrix=A.T, bounds=np.ones(k),
-            senses=("<=",) * k, maximize=True)
-        res = lpcore.solve_lp(lp)
-        if res.status == "unbounded":
-            return False
-        if res.status != "optimal":
-            raise NumericalFailure(
-                f"representation LP for resource {j} ended {res.status}")
-        if res.value > 1 + REPRESENT_TOL:
-            return False
-    return True
+    return all(lpcore.loss_lp(w[:, j], A).alpha <= 1 + REPRESENT_TOL
+               for j in range(w.shape[1]))
 
 
 def partition_to_factorization(instance: model.ResourceInstance,
@@ -65,7 +53,7 @@ def partition_to_factorization(instance: model.ResourceInstance,
     Satisfies both factorization conditions by construction, so the
     resulting A is never worse than the partition it came from.
     """
-    w = model.normalize(instance).matrix
+    w = instance.normalized_usage
     k = len(plan.groups)
     A = np.zeros((w.shape[0], k))
     R = np.zeros((k, w.shape[1]))
@@ -95,8 +83,7 @@ def factor_loss(instance_norm: model.NormalizedInstance, A,
             warnings.append(f"dimension {ell} has all-zero costs; skipped")
             continue
         # zero-cost operations are free in this dimension and drop out
-        U = w[active] / A[active, ell][:, None]
-        values[ell] = lpcore.solve_zero_sum(U, row_minimizes=True).value
+        values[ell] = 1.0 / lpcore.loss_lp(A[active, ell], w[active]).alpha
     if np.all(np.isnan(values)):
         raise RepresentationViolated("every dimension is all-zero")
     alpha = float(1.0 / np.nanmin(values))
@@ -105,34 +92,27 @@ def factor_loss(instance_norm: model.NormalizedInstance, A,
 
 
 def _row_update(w, R):
-    """Per operation: cheapest nonnegative cost row with A_i @ R >= w'_i."""
-    k, n = R.shape
-    A = np.zeros((w.shape[0], k))
+    """Per operation: cheapest nonnegative cost row with A_i @ R >= w'_i,
+    read off the dual of max w'_i @ y s.t. R y <= 1, y >= 0."""
+    A = np.zeros((w.shape[0], R.shape[0]))
     for i in range(w.shape[0]):
-        lp = lpcore.LinearProgram(
-            objective=np.ones(k), matrix=-R.T, bounds=-w[i],
-            senses=("<=",) * n)
-        res = lpcore.solve_lp(lp)
-        if res.status != "optimal":
-            raise NumericalFailure(f"row update LP ended {res.status}")
-        A[i] = np.maximum(res.x, 0.0)
+        sol = lpcore.loss_lp(w[i], R.T)
+        if not np.isfinite(sol.alpha):
+            raise NumericalFailure("row update LP is unbounded")
+        A[i] = sol.y
     return A
 
 
 def _col_update(w, A, R_prev):
-    """Per resource: lightest column with A @ R_j >= w'_j and sum <= 1;
-    keeps the previous column if the LP cannot improve on it."""
-    m, k = A.shape
+    """Per resource: lightest column with A @ R_j >= w'_j and sum <= 1, off
+    the dual of max (w'_j, -1) @ (y, t) s.t. A^T y - t 1 <= 1; keeps the
+    previous column where none exists (that dual is unbounded)."""
     R = R_prev.copy()
+    M = np.vstack([A, -np.ones(A.shape[1])])
     for j in range(w.shape[1]):
-        matrix = np.vstack([-A, np.ones(k)])
-        bounds = np.concatenate([-w[:, j], [1.0]])
-        lp = lpcore.LinearProgram(
-            objective=np.ones(k), matrix=matrix, bounds=bounds,
-            senses=("<=",) * (m + 1))
-        res = lpcore.solve_lp(lp)
-        if res.status == "optimal":
-            R[:, j] = np.maximum(res.x, 0.0)
+        sol = lpcore.loss_lp(np.append(w[:, j], -1.0), M)
+        if np.isfinite(sol.alpha):
+            R[:, j] = sol.y
     return R
 
 

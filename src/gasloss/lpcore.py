@@ -10,6 +10,9 @@ by the data, or NumericalFailure is raised.  Problem sizes in this
 package are tiny (at most a few hundred variables), so a dense tableau
 is the right tool.
 
+loss_lp, max a @ x s.t. M^T x <= 1, solves a zero-sum game u = M / a
+through its primal and dual; solve_zero_sum solves the game directly.
+
 All numeric tolerances used by the solver live here as module constants.
 """
 
@@ -71,6 +74,23 @@ class GameSolution:
     value: float
     row_strategy: np.ndarray
     col_strategy: np.ndarray
+
+
+@dataclass(frozen=True)
+class LossSolution:
+    """Optimum of loss_lp: alpha (inf when unbounded), the primal x and
+    the dual y (M y >= a, 1 @ y = alpha), both clipped at 0."""
+
+    alpha: float
+    x: np.ndarray
+    y: np.ndarray
+    a: np.ndarray
+
+    @property
+    def game(self) -> GameSolution:
+        """Equilibrium of the game u_ij = M_ij / a_i, of value 1/alpha."""
+        return GameSolution(1.0 / self.alpha, _clean_simplex(self.a * self.x),
+                            _clean_simplex(self.y))
 
 
 def _pivot(T, basis, row, col):
@@ -221,6 +241,19 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     if lp.maximize:
         return LPResult("optimal", -value, x, -y)
     return LPResult("optimal", value, x, y)
+
+
+def loss_lp(a, M) -> LossSolution:
+    """max a @ x s.t. M^T x <= 1, x >= 0, the LP form of every loss here;
+    its slack basis is feasible, so phase 1 does no work."""
+    n = np.shape(M)[1]
+    lp = LinearProgram(a, np.transpose(M), np.ones(n), ("<=",) * n,
+                       maximize=True)
+    res = solve_lp(lp)
+    # x = 0 is feasible, so the LP is never infeasible
+    alpha = res.value if res.status == "optimal" else np.inf
+    return LossSolution(alpha, np.maximum(res.x, 0.0),
+                        np.maximum(res.y, 0.0), lp.objective)
 
 
 def _clean_simplex(v):

@@ -7,7 +7,8 @@ arrays of per-operation counts; fractional counts are allowed (the LP
 relaxation is the model of record, integrality is not modeled).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .errors import (
     NegativeUsage,
     NonFiniteValue,
     NonPositiveCapacity,
-    NumericalFailure,
 )
 
 FEASIBILITY_TOL = 1e-9  # relative, applied multiplicatively to capacities
@@ -52,6 +52,11 @@ class ResourceInstance:
     @property
     def num_resources(self):
         return len(self.resource_names)
+
+    @cached_property
+    def normalized_usage(self) -> np.ndarray:
+        """W' = W / B (every capacity scaled to 1), computed once, read-only."""
+        return _frozen_array(self.usage / self.capacities, 2)
 
 
 @dataclass(frozen=True)
@@ -194,12 +199,12 @@ def normalize(instance: ResourceInstance) -> NormalizedInstance:
     """Divide each usage column by its capacity."""
     return NormalizedInstance(
         instance.operation_names, instance.resource_names,
-        _frozen_array(instance.usage / instance.capacities, 2))
+        instance.normalized_usage)
 
 
 def minimal_gas_measure(instance: ResourceInstance) -> GasMeasure:
     """The pointwise-smallest representing measure: g_i = max_j w_ij / B_j."""
-    g = np.max(instance.usage / instance.capacities, axis=1)
+    g = np.max(instance.normalized_usage, axis=1)
     return GasMeasure(_frozen_array(g, 1))
 
 
@@ -234,14 +239,5 @@ def gas_of(g: GasMeasure, x) -> float:
 
 def max_block_size(instance: ResourceInstance) -> SizeReport:
     """Largest 1-norm of any feasible block, by LP."""
-    norm = normalize(instance)
-    lp = lpcore.LinearProgram(
-        objective=np.ones(instance.num_operations),
-        matrix=norm.matrix.T,
-        bounds=np.ones(instance.num_resources),
-        senses=("<=",) * instance.num_resources,
-        maximize=True)
-    res = lpcore.solve_lp(lp)
-    if res.status != "optimal":
-        raise NumericalFailure(f"size LP ended with status {res.status}")
-    return SizeReport(K=float(res.value))
+    return SizeReport(K=lpcore.loss_lp(np.ones(instance.num_operations),
+                                       instance.normalized_usage).alpha)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import approx, model
+from . import lpcore, model
 from .errors import (
     BadEpsilon,
     InvalidPartition,
@@ -52,17 +52,12 @@ def _group_loss(instance, cols, cache):
     key = frozenset(cols)
     if key in cache:
         return cache[key]
-    cols = sorted(cols)
-    sub_usage = instance.usage[:, cols]
-    rows = np.flatnonzero(np.any(sub_usage > 0, axis=1))
-    if rows.size == 0:
+    sub = instance.normalized_usage[:, sorted(cols)]
+    sub = sub[np.any(sub > 0, axis=1)]
+    if sub.size == 0:
         loss = 1.0
     else:
-        sub = model.ResourceInstance(
-            tuple(instance.operation_names[i] for i in rows),
-            tuple(instance.resource_names[j] for j in cols),
-            sub_usage[rows], instance.capacities[cols])
-        loss = approx.approximability(sub).alpha
+        loss = lpcore.loss_lp(sub.max(axis=1), sub).alpha
     cache[key] = loss
     return loss
 
@@ -86,9 +81,9 @@ def partition_loss(instance: model.ResourceInstance, groups,
     groups = tuple(tuple(sorted(g)) for g in groups)
     _check_partition(instance.num_resources, groups)
     cache = _cache if _cache is not None else {}
-    w_norm = instance.usage / instance.capacities
     losses = np.array([_group_loss(instance, g, cache) for g in groups])
-    measures = tuple(np.max(w_norm[:, list(g)], axis=1) for g in groups)
+    measures = tuple(np.max(instance.normalized_usage[:, list(g)], axis=1)
+                     for g in groups)
     return PartitionPlan(groups, measures, losses, float(losses.max()))
 
 

@@ -120,15 +120,24 @@ def test_criterion_6_alpha_bounds(figure1, random_sweep):
                "on all 200 random instances")
 
 
+def _halves(size):
+    """The groups the exact search picks on every fixture below: the
+    resources of the first half of the elements, then the rest.  Many
+    partitions tie on loss, so this pins the tie-breaking too."""
+    return (tuple(range(size // 2)), tuple(range(size // 2, size)))
+
+
 def test_criterion_7_ecp_reduction():
     ecp = partition.generate_ecp([1, 3, 2, 2], 0.1)
-    loss = partition.optimal_partition_exact(ecp.instance, 2).loss
-    assert loss == pytest.approx(2.4, abs=1e-8)
+    plan = partition.optimal_partition_exact(ecp.instance, 2)
+    assert plan.loss == pytest.approx(2.4, abs=1e-8)
+    assert plan.groups == _halves(8)
 
     ecp_no = partition.generate_ecp([1, 1, 1, 5], 0.1)
-    loss_no = partition.optimal_partition_exact(ecp_no.instance, 2).loss
-    assert loss_no == pytest.approx(2.6, abs=1e-8)
-    assert loss_no > 2.4
+    plan_no = partition.optimal_partition_exact(ecp_no.instance, 2)
+    assert plan_no.loss == pytest.approx(2.6, abs=1e-8)
+    assert plan_no.loss > 2.4
+    assert plan_no.groups == _halves(8)
 
     rng = np.random.default_rng(1234)
     for trial in range(20):
@@ -138,11 +147,12 @@ def test_criterion_7_ecp_reduction():
         T = int(sum(first))
         eps = 1 / (4 * T)
         inst = partition.generate_ecp(elements, eps).instance
-        loss = partition.optimal_partition_exact(inst, 2).loss
-        assert loss == pytest.approx(half + T * eps, abs=1e-8)
+        plan = partition.optimal_partition_exact(inst, 2)
+        assert plan.loss == pytest.approx(half + T * eps, abs=1e-8)
+        assert plan.groups == _halves(4 * half)
     _passed(7, "ECP reduction: yes-instances hit k + T*eps (2.4), the "
                "no-instance {1,1,1,5} gives 2.6, 20 random yes-instances "
-               "match")
+               "match; all 22 keep their pinned groups")
 
 
 def test_criterion_8_corollary(table1, sweep_50):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gasloss import approx, formats, model
+from gasloss import approx, formats, lpcore, model
 from helpers import feasible_region_gas_max, random_instance
 
 
@@ -100,6 +100,8 @@ class TestProperties:
             assert model.is_feasible(inst, rep.witness)
             assert model.gas_of(rep.measure, rep.witness) == pytest.approx(
                 rep.alpha, abs=1e-8)
+            assert lpcore.verify_equilibrium(
+                approx.build_game(inst).entries, rep.game, 1e-9)
 
     def test_column_scaling_leaves_alpha_unchanged(self):
         for seed in range(10):

@@ -19,6 +19,21 @@ def per_dimension_oracle(norm, A, ell):
     return float(res.value)
 
 
+def row_update_reference(w_i, R):
+    """The primal row update: min 1 @ a s.t. R^T a >= w'_i, a >= 0."""
+    k, n = R.shape
+    return lpcore.solve_lp(lpcore.LinearProgram(
+        np.ones(k), -R.T, -w_i, ("<=",) * n))
+
+
+def col_update_reference(w_j, A):
+    """The primal column update: min 1 @ r s.t. A r >= w'_j, 1 @ r <= 1."""
+    m, k = A.shape
+    return lpcore.solve_lp(lpcore.LinearProgram(
+        np.ones(k), np.vstack([-A, np.ones(k)]),
+        np.append(-w_j, 1.0), ("<=",) * (m + 1)))
+
+
 def all_two_partitions(n):
     for size in range(1, n // 2 + 1):
         for combo in itertools.combinations(range(1, n), size - 1):
@@ -143,6 +158,44 @@ class TestAlternating:
             report = factorize.alternating_factorization(
                 norm, 2, max_rounds=10)
             assert report.alpha <= exact + 1e-9
+
+
+class TestUpdates:
+    def test_row_update_matches_primal_reference(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            m, n, k = rng.integers(2, 9), rng.integers(2, 7), rng.integers(1, 4)
+            w = rng.random((m, n)) * (rng.random((m, n)) < 0.7)
+            R = rng.random((k, n))
+            A = factorize._row_update(w, R)
+            assert np.all(A >= 0)
+            assert np.all(A @ R >= w - 1e-9)
+            for i in range(m):
+                ref = row_update_reference(w[i], R)
+                assert ref.status == "optimal"
+                assert A[i].sum() == pytest.approx(ref.value, abs=1e-9)
+
+    def test_col_update_matches_primal_reference(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            m, n, k = rng.integers(2, 9), rng.integers(2, 7), rng.integers(1, 4)
+            A = rng.random((m, k)) + 0.5
+            w = rng.random((m, n)) * 0.5
+            # no column r with 1 @ r <= 1 reaches this one: A r <= max A
+            w[0, -1] = 2 * A[0].max()
+            R_prev = rng.random((k, n))
+            R = factorize._col_update(w, A, R_prev)
+            for j in range(n):
+                ref = col_update_reference(w[:, j], A)
+                if j == n - 1:
+                    assert ref.status == "infeasible"
+                    assert np.array_equal(R[:, j], R_prev[:, j])
+                    continue
+                assert ref.status == "optimal"
+                assert np.all(R[:, j] >= 0)
+                assert np.all(A @ R[:, j] >= w[:, j] - 1e-9)
+                assert R[:, j].sum() <= 1 + 1e-9
+                assert R[:, j].sum() == pytest.approx(ref.value, abs=1e-9)
 
 
 class TestSoundness:

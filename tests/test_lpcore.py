@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasloss import approx, formats, lpcore, model
+from gasloss import approx, factorize, formats, hist, lpcore, model, partition
 from gasloss.errors import NumericalFailure
 from gasloss.lpcore import GameSolution, LinearProgram
+from helpers import random_instance
 
 
 def _random_solvable_lp(rng, n, m):
@@ -144,6 +145,45 @@ class TestSolveLP:
             with np.errstate(all="ignore"), pytest.raises(
                     (NumericalFailure, ValueError)):
                 lpcore.solve_lp(lp)
+
+
+class TestProductionLPs:
+    def test_every_production_lp_is_slack_feasible(self, monkeypatch,
+                                                    table1):
+        # only "<=" rows with b >= 0, so phase 1 never runs outside the
+        # general LinearProgram API and the game-form oracle
+        recorded = []
+        solve = lpcore.solve_lp
+
+        def record(lp):
+            recorded.append(lp)
+            return solve(lp)
+
+        monkeypatch.setattr(lpcore, "solve_lp", record)
+        instances = [table1] + [random_instance(s) for s in (7, 11, 20, 23)]
+        for inst in instances:
+            norm = model.normalize(inst)
+            k = min(2, inst.num_resources)
+            m = inst.num_operations
+            f = np.full(m, 1.0 / m)
+            runs = [
+                lambda: approx.approximability(inst),
+                lambda: partition.optimal_partition_exact(inst, k),
+                lambda: partition.optimal_partition_greedy(inst, k),
+                lambda: factorize.factor_loss(
+                    norm, model.minimal_gas_measure(inst).costs[:, None]),
+                lambda: factorize.alternating_factorization(norm, k),
+                lambda: hist.hist_loss_range(inst, np.zeros(m), np.ones(m)),
+                lambda: hist.hist_loss_range(inst, f / 2, np.minimum(2 * f, 1)),
+                lambda: model.max_block_size(inst),
+            ]
+            for run in runs:
+                recorded.clear()
+                run()
+                assert recorded
+                for lp in recorded:
+                    assert set(lp.senses) == {"<="}
+                    assert np.all(lp.bounds >= 0)
 
 
 class TestZeroSum:
