@@ -13,12 +13,7 @@ import sys
 import numpy as np
 
 from . import approx, factorize, formats, hist, model, partition
-from .errors import (
-    GaslossError,
-    InstanceError,
-    NumericalFailure,
-    TooManyResources,
-)
+from .errors import InstanceError, NumericalFailure, TooManyResources
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -147,11 +142,8 @@ def cmd_factorize(args) -> int:
     instance = _load(args)
     norm = model.normalize(instance)
     if args.mode == "from-partition":
-        if instance.num_resources <= partition.EXACT_ENUMERATION_LIMIT:
-            plan = partition.optimal_partition_exact(instance, args.k)
-        else:
-            plan = partition.optimal_partition_greedy(instance, args.k)
-        fact = factorize.partition_to_factorization(instance, plan)
+        fact = factorize.partition_to_factorization(
+            instance, partition.best_partition(instance, args.k))
         report = factorize.factor_loss(norm, fact.A, fact.R)
     else:
         report = factorize.alternating_factorization(norm, args.k, args.rounds)
@@ -223,7 +215,10 @@ def cmd_hist(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.kind == "ecp":
-        elements = [int(s) for s in args.set.split(",") if s.strip()]
+        try:
+            elements = [int(s) for s in args.set.split(",") if s.strip()]
+        except ValueError as exc:
+            raise InstanceError(str(exc)) from exc
         doc = formats.ecp_instance_doc(elements, args.epsilon)
     elif args.kind == "random":
         doc = formats.random_instance_doc(args.ops, args.resources,
@@ -327,7 +322,7 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (InstanceError, GaslossError, ValueError) as exc:
+    except InstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

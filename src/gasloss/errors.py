@@ -1,4 +1,12 @@
-"""Exception hierarchy shared across the package."""
+"""Exception classes, one per CLI exit code.
+
+InstanceError (exit 2) covers every input the package refuses: malformed
+or non-finite instance files and profiles, bad arguments (partitions,
+epsilon, box bounds, k) and measures that do not represent the instance.
+NumericalFailure (exit 3) means the LP engine could not certify an answer.
+TooManyResources (exit 4) means the input exceeds the exact partition
+search's size limit.  The message says which condition failed.
+"""
 
 
 class GaslossError(Exception):
@@ -6,64 +14,12 @@ class GaslossError(Exception):
 
 
 class InstanceError(GaslossError, ValueError):
-    """Invalid instance data."""
-
-
-class NonPositiveCapacity(InstanceError):
-    pass
-
-
-class NegativeUsage(InstanceError):
-    pass
-
-
-class DuplicateName(InstanceError):
-    pass
-
-
-class EmptyInstance(InstanceError):
-    pass
-
-
-class NonFiniteValue(InstanceError):
-    pass
-
-
-class LengthMismatch(GaslossError, ValueError):
-    pass
+    """Input the package refuses to analyse."""
 
 
 class NumericalFailure(GaslossError, RuntimeError):
     """The LP engine could not resolve the problem numerically."""
 
 
-class InvalidPartition(GaslossError, ValueError):
-    pass
-
-
 class TooManyResources(GaslossError, ValueError):
-    pass
-
-
-class BadEpsilon(GaslossError, ValueError):
-    pass
-
-
-class OddCardinality(GaslossError, ValueError):
-    pass
-
-
-class OddSum(GaslossError, ValueError):
-    pass
-
-
-class RepresentationViolated(GaslossError, ValueError):
-    pass
-
-
-class EmptyBox(GaslossError, ValueError):
-    pass
-
-
-class DegenerateProfile(GaslossError, ValueError):
-    pass
+    """More resources than the exact partition search enumerates."""

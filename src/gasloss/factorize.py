@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lpcore, model, partition
-from .errors import NumericalFailure, RepresentationViolated
+from .errors import InstanceError, NumericalFailure
 
 REPRESENT_TOL = 1e-9
 
@@ -41,7 +41,7 @@ def kdim_represents(instance_norm: model.NormalizedInstance, A) -> bool:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     w = instance_norm.matrix
     if A.shape[0] != w.shape[0]:
-        raise ValueError("A needs one row per operation")
+        raise InstanceError("A needs one row per operation")
     return all(lpcore.loss_lp(w[:, j], A).alpha <= 1 + REPRESENT_TOL
                for j in range(w.shape[1]))
 
@@ -71,7 +71,7 @@ def factor_loss(instance_norm: model.NormalizedInstance, A,
     largest per-dimension loss."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if not kdim_represents(instance_norm, A):
-        raise RepresentationViolated(
+        raise InstanceError(
             "the k-dimensional measure does not represent the instance")
     w = instance_norm.matrix
     k = A.shape[1]
@@ -85,7 +85,7 @@ def factor_loss(instance_norm: model.NormalizedInstance, A,
         # zero-cost operations are free in this dimension and drop out
         values[ell] = 1.0 / lpcore.loss_lp(A[active, ell], w[active]).alpha
     if np.all(np.isnan(values)):
-        raise RepresentationViolated("every dimension is all-zero")
+        raise InstanceError("every dimension is all-zero")
     alpha = float(1.0 / np.nanmin(values))
     return FactorReport(Factorization(A, R, k), values, alpha, True,
                         tuple(warnings))
@@ -122,15 +122,12 @@ def alternating_factorization(instance_norm: model.NormalizedInstance,
     per-operation-row and per-resource-column LPs; the best iterate by
     loss is kept, so the result is never worse than the initialization."""
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise InstanceError("k must be at least 1")
     w = instance_norm.matrix
     unit = instance_norm.as_instance()
     k = min(k, w.shape[1])
-    if w.shape[1] <= partition.EXACT_ENUMERATION_LIMIT:
-        plan = partition.optimal_partition_exact(unit, k)
-    else:
-        plan = partition.optimal_partition_greedy(unit, k)
-    fact = partition_to_factorization(unit, plan)
+    fact = partition_to_factorization(
+        unit, partition.best_partition(unit, k))
     A, R = fact.A, fact.R
 
     best = factor_loss(instance_norm, A, R)

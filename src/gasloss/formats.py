@@ -10,15 +10,17 @@ The canonical instance format is a JSON document:
 
 Missing usage entries mean 0; "congesting": false marks a resource that
 is tracked and paid for but never binding, so it is excluded from the
-analysis.  Serialization is canonical (two-space indent, keys in schema
-order, zero usages omitted), so parse -> serialize -> parse is the
-identity.
+analysis.  Parsing (model.walk_instance) keeps the file's order of usage
+keys; serialization is canonical (two-space indent, keys in schema order,
+usage keys in resource order, zero usages omitted), so serialize -> parse
+-> serialize is byte identical.
 
 A simple delimited-table import is also supported: a header row with
 the resource names, one row per operation, and a final "capacity" row.
 
-Frequency profiles are flat JSON mappings operation-name -> nonnegative
-weight; weights are renormalized to the simplex on load.
+Frequency profiles are flat JSON mappings operation-name -> finite,
+nonnegative weight; weights are renormalized to the simplex on load.
+Box bounds for range mode use the same format and are not renormalized.
 
 The random generator uses splitmix64 so fixtures are reproducible from
 the seed alone, independent of any library RNG.
@@ -45,17 +47,9 @@ class InstanceDoc:
     operations: list         # (name, {resource-name: usage}) pairs
     notes: list = field(default_factory=list)
 
-    def raw(self):
-        return {
-            "resources": [
-                {"name": n, "capacity": c, "congesting": flag}
-                for n, c, flag in self.resources],
-            "operations": [
-                {"name": n, "usage": dict(u)} for n, u in self.operations],
-        }
-
     def to_instance(self, extra_excluded=()) -> model.ResourceInstance:
-        return model.validate_instance(self.raw(), extra_excluded)
+        return model.instance_from_pairs(self.resources, self.operations,
+                                         extra_excluded)
 
 
 def parse_instance(text: str) -> InstanceDoc:
@@ -73,32 +67,7 @@ def _parse_json(text: str) -> InstanceDoc:
         raise InstanceError(f"malformed instance file: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceError("instance file must be a JSON object")
-    try:
-        resources = [
-            (str(r["name"]), float(r["capacity"]),
-             bool(r.get("congesting", True)))
-            for r in doc.get("resources", [])]
-        res_order = [n for n, _, _ in resources]
-        operations = []
-        for op in doc.get("operations", []):
-            usage = {str(k): float(v) for k, v in op.get("usage", {}).items()}
-            ordered = {}
-            for n in res_order:
-                if n in usage:
-                    value = usage.pop(n)
-                    if value != 0:
-                        ordered[n] = value
-            if usage:
-                raise InstanceError(
-                    f"operation {op.get('name')!r} uses unknown "
-                    f"resources {sorted(usage)}")
-            operations.append((str(op["name"]), ordered))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InstanceError):
-            raise
-        raise InstanceError(f"malformed instance file: {exc}") from exc
-    notes = [str(s) for s in doc.get("notes", [])]
-    return InstanceDoc(resources, operations, notes)
+    return InstanceDoc(*model.walk_instance(doc))
 
 
 def _parse_table(text: str) -> InstanceDoc:
@@ -133,6 +102,9 @@ def _format_number(x: float):
 
 
 def serialize_instance(doc: InstanceDoc) -> str:
+    """Canonical text: two-space indent, keys in schema order, usage keys
+    in resource order."""
+    rank = {name: j for j, (name, _, _) in enumerate(doc.resources)}
     out = {}
     if doc.notes:
         out["notes"] = list(doc.notes)
@@ -140,7 +112,8 @@ def serialize_instance(doc: InstanceDoc) -> str:
         {"name": n, "capacity": _format_number(c), "congesting": flag}
         for n, c, flag in doc.resources]
     out["operations"] = [
-        {"name": n, "usage": {k: _format_number(v) for k, v in u.items()}}
+        {"name": n, "usage": {k: _format_number(u[k])
+                              for k in sorted(u, key=rank.__getitem__)}}
         for n, u in doc.operations]
     return json.dumps(out, indent=2) + "\n"
 
@@ -183,7 +156,13 @@ def _load_mapping(path, instance):
         raise InstanceError(f"profile names unknown operations: {unknown}")
     out = np.zeros(instance.num_operations)
     for i, name in enumerate(instance.operation_names):
-        value = float(doc.get(name, 0.0))
+        try:
+            value = float(doc.get(name, 0.0))
+        except (TypeError, ValueError) as exc:
+            raise InstanceError(
+                f"non-numeric weight for operation {name!r}") from exc
+        if not np.isfinite(value):
+            raise InstanceError(f"non-finite weight for operation {name!r}")
         if value < 0:
             raise InstanceError(f"negative weight for operation {name!r}")
         out[i] = value

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import approx, lpcore, model
-from .errors import DegenerateProfile, EmptyBox, NumericalFailure
+from .errors import InstanceError, NumericalFailure
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,11 @@ def hist_strategy(g: model.GasMeasure, f) -> np.ndarray:
     costs = np.asarray(g.costs, dtype=float)
     f = np.asarray(f, dtype=float)
     if f.shape != costs.shape:
-        raise ValueError("frequency vector length must match the measure")
+        raise InstanceError("frequency vector length must match the measure")
     weighted = f * costs
     total = weighted.sum()
     if total <= 0:
-        raise DegenerateProfile("all frequency mass on zero-cost operations")
+        raise InstanceError("all frequency mass on zero-cost operations")
     return weighted / total
 
 
@@ -71,11 +71,11 @@ def hist_loss_range(instance: model.ResourceInstance, f_low,
     f_high = np.asarray(f_high, dtype=float)
     m = instance.num_operations
     if f_low.shape != (m,) or f_high.shape != (m,):
-        raise ValueError("box bounds need one entry per operation")
+        raise InstanceError("box bounds need one entry per operation")
     if np.any(f_low < 0) or np.any(f_low > f_high + 1e-12):
-        raise EmptyBox("need 0 <= f_low <= f_high componentwise")
+        raise InstanceError("need 0 <= f_low <= f_high componentwise")
     if f_low.sum() > 1 + 1e-9 or f_high.sum() < 1 - 1e-9:
-        raise EmptyBox("the box does not intersect the simplex")
+        raise InstanceError("the box does not intersect the simplex")
 
     g = model.minimal_gas_measure(instance).costs
     U = approx.build_game(instance).entries

@@ -13,15 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from . import lpcore
-from .errors import (
-    DuplicateName,
-    EmptyInstance,
-    InstanceError,
-    LengthMismatch,
-    NegativeUsage,
-    NonFiniteValue,
-    NonPositiveCapacity,
-)
+from .errors import InstanceError
 
 FEASIBILITY_TOL = 1e-9  # relative, applied multiplicatively to capacities
 
@@ -105,13 +97,13 @@ def instance_from_arrays(operation_names, resource_names, usage, capacities,
     usage = np.atleast_2d(np.array(usage, dtype=float))
     capacities = np.array(capacities, dtype=float)
     if usage.shape != (len(op_names), len(res_names)):
-        raise LengthMismatch(
+        raise InstanceError(
             f"usage matrix shape {usage.shape} does not match "
             f"{len(op_names)} operations x {len(res_names)} resources")
     if capacities.shape != (len(res_names),):
-        raise LengthMismatch("one capacity per resource required")
+        raise InstanceError("one capacity per resource required")
     if not (np.all(np.isfinite(usage)) and np.all(np.isfinite(capacities))):
-        raise NonFiniteValue("usage and capacities must be finite")
+        raise InstanceError("usage and capacities must be finite")
 
     for names, kind in ((op_names, "operation"), (res_names, "resource")):
         seen = set()
@@ -119,13 +111,13 @@ def instance_from_arrays(operation_names, resource_names, usage, capacities,
             if not name:
                 raise InstanceError(f"empty {kind} name")
             if name in seen:
-                raise DuplicateName(f"duplicate {kind} name {name!r}")
+                raise InstanceError(f"duplicate {kind} name {name!r}")
             seen.add(name)
 
     if congesting is None:
         congesting = [True] * len(res_names)
     if len(congesting) != len(res_names):
-        raise LengthMismatch("one congesting flag per resource required")
+        raise InstanceError("one congesting flag per resource required")
     unknown = set(extra_excluded) - set(res_names)
     if unknown:
         raise InstanceError(f"unknown resource names to exclude: {sorted(unknown)}")
@@ -138,14 +130,14 @@ def instance_from_arrays(operation_names, resource_names, usage, capacities,
     capacities = capacities[keep]
 
     if not res_names:
-        raise EmptyInstance("no congesting resources remain")
+        raise InstanceError("no congesting resources remain")
     bad = np.flatnonzero(capacities <= 0)
     if bad.size:
-        raise NonPositiveCapacity(
+        raise InstanceError(
             f"capacity of resource {res_names[bad[0]]!r} must be positive")
     if np.any(usage < 0):
         i, j = np.argwhere(usage < 0)[0]
-        raise NegativeUsage(
+        raise InstanceError(
             f"usage of operation {op_names[i]!r} on resource "
             f"{res_names[j]!r} is negative")
 
@@ -157,7 +149,7 @@ def instance_from_arrays(operation_names, resource_names, usage, capacities,
     op_names = [n for n, ok in zip(op_names, nonzero) if ok]
     usage = usage[nonzero]
     if not op_names:
-        raise EmptyInstance("no operations with positive usage remain")
+        raise InstanceError("no operations with positive usage remain")
 
     return ResourceInstance(
         tuple(op_names), tuple(res_names),
@@ -165,34 +157,61 @@ def instance_from_arrays(operation_names, resource_names, usage, capacities,
         excluded_resources=excluded, warnings=tuple(warnings))
 
 
-def validate_instance(raw, extra_excluded=()) -> ResourceInstance:
-    """Validate a parsed instance description (see the formats module).
-
-    raw is a mapping with "resources": [{name, capacity, congesting?}]
-    and "operations": [{name, usage: {resource-name: amount}}]; usage
-    entries for unnamed resources default to 0.
-    """
+def walk_instance(raw):
+    """Resource triples, operation pairs and notes of an instance mapping
+    (see the formats module): names become str, amounts float, zero usages
+    are dropped and usage keys keep their order.  A usage naming a resource
+    that is not listed, or any other shape, raises InstanceError."""
     try:
-        resources = list(raw["resources"])
-        operations = list(raw["operations"])
-    except (KeyError, TypeError) as exc:
-        raise InstanceError("instance needs 'resources' and 'operations'") from exc
-    res_names = [str(r.get("name", "")) for r in resources]
-    capacities = [r.get("capacity") for r in resources]
-    if any(c is None for c in capacities):
-        raise InstanceError("every resource needs a capacity")
-    congesting = [bool(r.get("congesting", True)) for r in resources]
-    op_names = [str(o.get("name", "")) for o in operations]
-    usage = np.zeros((len(operations), len(resources)))
-    index = {name: j for j, name in enumerate(res_names)}
-    for i, op in enumerate(operations):
-        for rname, amount in dict(op.get("usage", {})).items():
-            if rname not in index:
+        resources = [
+            (str(r["name"]), float(r["capacity"]),
+             bool(r.get("congesting", True)))
+            for r in raw.get("resources", [])]
+        known = {name for name, _, _ in resources}
+        operations = []
+        for op in raw.get("operations", []):
+            usage = {str(k): float(v) for k, v in op.get("usage", {}).items()}
+            unknown = usage.keys() - known
+            if unknown:
                 raise InstanceError(
-                    f"operation {op_names[i]!r} uses unknown resource {rname!r}")
-            usage[i, index[rname]] = float(amount)
-    return instance_from_arrays(op_names, res_names, usage, capacities,
-                                congesting, extra_excluded)
+                    f"operation {op.get('name')!r} uses unknown "
+                    f"resources {sorted(unknown)}")
+            operations.append(
+                (str(op["name"]), {k: v for k, v in usage.items() if v != 0}))
+        notes = [str(s) for s in raw.get("notes", [])]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, InstanceError):
+            raise
+        raise InstanceError(f"malformed instance file: {exc}") from exc
+    return resources, operations, notes
+
+
+def instance_from_pairs(resources, operations,
+                        extra_excluded=()) -> ResourceInstance:
+    """Fill the usage matrix from (name, capacity, congesting) triples and
+    (name, {resource-name: amount}) pairs in one assignment, then validate
+    it through instance_from_arrays."""
+    res_names = [name for name, _, _ in resources]
+    column = {name: j for j, name in enumerate(res_names)}
+    usage = np.zeros((len(operations), len(res_names)))
+    rows = np.repeat(np.arange(len(operations)),
+                     [len(amounts) for _, amounts in operations])
+    try:
+        cols = [column[k] for _, amounts in operations for k in amounts]
+    except KeyError as exc:
+        raise InstanceError(f"usage names unknown resource {exc}") from exc
+    usage[rows, cols] = [v for _, amounts in operations
+                         for v in amounts.values()]
+    return instance_from_arrays(
+        [name for name, _ in operations], res_names, usage,
+        [c for _, c, _ in resources], [flag for _, _, flag in resources],
+        extra_excluded)
+
+
+def validate_instance(raw, extra_excluded=()) -> ResourceInstance:
+    """Validate an instance mapping (see walk_instance)."""
+    resources, operations, _ = walk_instance(raw)
+    return instance_from_pairs(resources, operations, extra_excluded)
 
 
 def normalize(instance: ResourceInstance) -> NormalizedInstance:
@@ -213,7 +232,7 @@ def represents(g: GasMeasure, instance: ResourceInstance) -> bool:
     equivalent to g representing the instance."""
     costs = np.asarray(g.costs, dtype=float)
     if costs.shape[0] != instance.num_operations:
-        raise LengthMismatch("one cost per operation required")
+        raise InstanceError("one cost per operation required")
     minimal = minimal_gas_measure(instance).costs
     return bool(np.all(costs >= minimal - 1e-15 * np.abs(minimal)))
 
@@ -223,7 +242,7 @@ def is_feasible(instance: ResourceInstance, x) -> bool:
     FEASIBILITY_TOL absorbs LP round-off)."""
     x = np.asarray(x, dtype=float)
     if x.shape[0] != instance.num_operations:
-        raise LengthMismatch("one count per operation required")
+        raise InstanceError("one count per operation required")
     used = x @ instance.usage
     return bool(np.all(used <= instance.capacities * (1 + FEASIBILITY_TOL)))
 
@@ -233,7 +252,7 @@ def gas_of(g: GasMeasure, x) -> float:
     costs = np.asarray(g.costs, dtype=float)
     x = np.asarray(x, dtype=float)
     if costs.shape != x.shape:
-        raise LengthMismatch("measure and block lengths differ")
+        raise InstanceError("measure and block lengths differ")
     return float(costs @ x)
 
 

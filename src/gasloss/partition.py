@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lpcore, model
-from .errors import (
-    BadEpsilon,
-    InvalidPartition,
-    OddCardinality,
-    OddSum,
-    TooManyResources,
-)
+from .errors import InstanceError, TooManyResources
 
 EXACT_ENUMERATION_LIMIT = 12  # Bell-number growth beyond this
 _TIE_TOL = 1e-12
@@ -66,13 +60,13 @@ def _check_partition(n, groups):
     seen = set()
     for group in groups:
         if not group:
-            raise InvalidPartition("empty group")
+            raise InstanceError("empty group")
         for j in group:
             if j in seen:
-                raise InvalidPartition(f"resource index {j} assigned twice")
+                raise InstanceError(f"resource index {j} assigned twice")
             seen.add(j)
     if seen != set(range(n)):
-        raise InvalidPartition("groups must cover every resource index")
+        raise InstanceError("groups must cover every resource index")
 
 
 def partition_loss(instance: model.ResourceInstance, groups,
@@ -107,7 +101,7 @@ def optimal_partition_exact(instance: model.ResourceInstance,
     """
     n = instance.num_resources
     if not 1 <= k <= n:
-        raise InvalidPartition(f"k must be in 1..{n}")
+        raise InstanceError(f"k must be in 1..{n}")
     if n > EXACT_ENUMERATION_LIMIT:
         raise TooManyResources(
             f"{n} resources exceed the exact enumeration limit "
@@ -150,7 +144,7 @@ def optimal_partition_greedy(instance: model.ResourceInstance,
     indices) until k groups remain."""
     n = instance.num_resources
     if not 1 <= k <= n:
-        raise InvalidPartition(f"k must be in 1..{n}")
+        raise InstanceError(f"k must be in 1..{n}")
     cache = {}
     groups = [(j,) for j in range(n)]
     losses = [_group_loss(instance, g, cache) for g in groups]
@@ -173,6 +167,15 @@ def optimal_partition_greedy(instance: model.ResourceInstance,
     return partition_loss(instance, groups, _cache=cache)
 
 
+def best_partition(instance: model.ResourceInstance,
+                   k: int) -> PartitionPlan:
+    """Exact search up to EXACT_ENUMERATION_LIMIT resources, greedy
+    beyond it."""
+    if instance.num_resources <= EXACT_ENUMERATION_LIMIT:
+        return optimal_partition_exact(instance, k)
+    return optimal_partition_greedy(instance, k)
+
+
 def generate_ecp(elements, epsilon: float) -> EcpInstance:
     """Build the block-diagonal reduction instance for a multiset of
     positive integers.
@@ -183,15 +186,15 @@ def generate_ecp(elements, epsilon: float) -> EcpInstance:
     """
     elements = tuple(int(s) for s in elements)
     if any(s <= 0 for s in elements):
-        raise BadEpsilon("elements must be positive integers")
+        raise InstanceError("elements must be positive integers")
     if len(elements) % 2:
-        raise OddCardinality("an even number of elements is required")
+        raise InstanceError("an even number of elements is required")
     total = sum(elements)
     if total % 2:
-        raise OddSum("the elements must have an even sum")
+        raise InstanceError("the elements must have an even sum")
     T = total // 2
     if not 0 < epsilon < 1 / (2 * T):
-        raise BadEpsilon(
+        raise InstanceError(
             f"epsilon must lie strictly between 0 and 1/{2 * T}")
     kappa = np.array([2 * s * epsilon / (1 + s * epsilon) for s in elements])
 

@@ -54,6 +54,21 @@ class TestMeasure:
         assert out == ""
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("text", [
+        '{"resources": [{"name": "r", "capacity": 1}], "operations": [5]}',
+        '{"resources": [{"name": "r", "capacity": 1}],'
+        ' "operations": [{"name": "a", "usage": [1]}]}',
+        '{"notes": 3, "resources": [{"name": "r", "capacity": 1}],'
+        ' "operations": [{"name": "a", "usage": {"r": 1}}]}',
+    ], ids=["operation-not-object", "usage-not-object", "notes-not-list"])
+    def test_malformed_shape_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "measure", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed instance file")
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "measure", "/nonexistent/instance.json")
         assert code == 2
@@ -197,6 +212,34 @@ class TestHist:
         code, _, err = run(capsys, "hist", table1_path, "--freq", str(f))
         assert code == 2
         assert "unknown operations" in err
+
+    @pytest.mark.parametrize("weight, problem", [
+        ("NaN", "non-finite"), ("Infinity", "non-finite"),
+        ("null", "non-numeric"), ('"abc"', "non-numeric")])
+    def test_bad_frequency_weight_exits_2(self, capsys, table1_path,
+                                          tmp_path, weight, problem):
+        f = tmp_path / "f.json"
+        f.write_text('{"Op1": %s, "Op2": 1}' % weight)
+        code, out, err = run(capsys, "hist", table1_path, "--freq", str(f))
+        assert code == 2
+        assert out == ""
+        assert f"error: {problem} weight for operation 'Op1'" in err
+
+    @pytest.mark.parametrize("side, weight", [
+        ("low", "NaN"), ("high", "Infinity"), ("low", "null")])
+    def test_bad_bound_weight_exits_2(self, capsys, table1_path, tmp_path,
+                                      side, weight):
+        bounds = {"low": "{}", "high": '{"Op1": 1, "Op2": 1, "Op3": 1}'}
+        bounds[side] = '{"Op1": %s, "Op2": 1, "Op3": 1}' % weight
+        paths = []
+        for name, text in bounds.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            paths += [f"--{name}", str(path)]
+        code, out, err = run(capsys, "hist", table1_path, *paths)
+        assert code == 2
+        assert out == ""
+        assert "weight for operation 'Op1'" in err
 
     def test_mode_flags_required(self, capsys, table1_path):
         code, _, err = run(capsys, "hist", table1_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gasloss import approx, factorize, lpcore, model, partition
-from gasloss.errors import RepresentationViolated
+from gasloss.errors import InstanceError
 from helpers import random_instance
 
 
@@ -122,7 +122,10 @@ class TestFactorLoss:
     def test_representation_violated(self, table1):
         norm = model.normalize(table1)
         g = model.minimal_gas_measure(table1).costs
-        with pytest.raises(RepresentationViolated):
+        with pytest.raises(
+                InstanceError,
+                match="the k-dimensional measure does not represent the "
+                      "instance"):
             factorize.factor_loss(norm, 0.1 * g[:, None])
 
     def test_all_zero_dimension_skipped_with_warning(self, table1):

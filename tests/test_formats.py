@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,16 @@ class TestJsonFormat:
             text = formats.serialize_instance(formats.preset_doc(name))
             again = formats.serialize_instance(formats.parse_instance(text))
             assert again == text
+
+    def test_usage_keys_serialized_in_resource_order(self):
+        doc = formats.parse_instance(
+            '{"resources": [{"name": "a", "capacity": 1},'
+            ' {"name": "b", "capacity": 2}, {"name": "c", "capacity": 3}],'
+            ' "operations": [{"name": "op", "usage": {"c": 1, "a": 2,'
+            ' "b": 0}}]}')
+        assert list(doc.operations[0][1]) == ["c", "a"]
+        again = formats.parse_instance(formats.serialize_instance(doc))
+        assert list(again.operations[0][1]) == ["a", "c"]
 
     def test_missing_usage_names_mean_zero(self):
         doc = formats.parse_instance(
@@ -104,6 +116,29 @@ class TestGenerators:
                 5, 3, density=0.3, seed=seed).to_instance()
             assert np.all(inst.usage.max(axis=1) > 0)
             assert np.all(inst.usage <= 10)
+
+    # sha256 of the serialized files; the benchmark builds its inputs
+    # from these generators, so their bytes must not drift
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: formats.random_instance_doc(30, 8, 0.5, 7),
+         "340a77cb9fb186c28977b6b0bd1e08c1b5b9f0750cf580e5713d6cfa278e2322"),
+        (lambda: formats.random_instance_doc(400, 100, 1.0, 5),
+         "cd032a9838b44dcf80c16b7800ee41ee1ffe33307af199a90d786397982ee126"),
+        (lambda: formats.random_instance_doc(400, 100, 0.3, 6),
+         "22e7100c2c4b98e1b2cc95c4595fca95b7c375a5221840b87d66255824b8bdd9"),
+        (lambda: formats.ecp_instance_doc([1, 3, 2, 2], 0.1),
+         "a8f9d18995f7ef503b2ef90d67abb22c67c7a8376c2910ebbefab029975aaadf"),
+        (lambda: formats.preset_doc("table1"),
+         "8a4e7d52c8dfd323e298dfc56e8c2adeaec2e27e343e138067973e340f930a19"),
+        (lambda: formats.preset_doc("table3"),
+         "3302290df5bb81185be3a184803d24ed26ffa27c86353b41a9b194262bbd8c43"),
+        (lambda: formats.preset_doc("figure1"),
+         "260144535d78a4b2bd1637751e56622c06d0c4b759178bfd4fcfd93d0bb59886"),
+    ], ids=["random-30x8", "random-400x100-dense", "random-400x100-sparse",
+            "ecp", "table1", "table3", "figure1"])
+    def test_generated_files_pinned(self, make, digest):
+        text = formats.serialize_instance(make())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_splitmix_reference_values(self):
         # first outputs for seed 0 of the documented splitmix64 stream

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from gasloss import approx, lpcore, model, partition
-from gasloss.errors import (
-    BadEpsilon,
-    InvalidPartition,
-    OddCardinality,
-    OddSum,
-    TooManyResources,
-)
+from gasloss.errors import InstanceError, TooManyResources
 from helpers import random_instance
 
 
@@ -54,11 +48,13 @@ class TestPartitionLoss:
             assert np.all(plan.per_group_losses >= 1 - 1e-9)
 
     def test_invalid_partitions_rejected(self, table1):
-        with pytest.raises(InvalidPartition):
+        with pytest.raises(InstanceError,
+                           match="resource index 0 assigned twice"):
             partition.partition_loss(table1, [(0,), (0, 1)])
-        with pytest.raises(InvalidPartition):
+        with pytest.raises(InstanceError,
+                           match="groups must cover every resource index"):
             partition.partition_loss(table1, [(0,)])
-        with pytest.raises(InvalidPartition):
+        with pytest.raises(InstanceError, match="empty group"):
             partition.partition_loss(table1, [(0, 1), ()])
 
 
@@ -155,15 +151,21 @@ class TestGenerateEcp:
         assert plan.loss == pytest.approx(1.2, abs=1e-9)
 
     def test_epsilon_bound(self):
-        with pytest.raises(BadEpsilon):
+        with pytest.raises(
+                InstanceError,
+                match="epsilon must lie strictly between 0 and 1/8"):
             partition.generate_ecp([1, 3, 2, 2], 0.2)   # 0.2 >= 1/8
-        with pytest.raises(BadEpsilon):
+        with pytest.raises(
+                InstanceError,
+                match="epsilon must lie strictly between 0 and 1/8"):
             partition.generate_ecp([1, 3, 2, 2], 0.0)
 
     def test_odd_cardinality_and_sum(self):
-        with pytest.raises(OddCardinality):
+        with pytest.raises(InstanceError,
+                           match="an even number of elements is required"):
             partition.generate_ecp([1, 2, 3], 0.01)
-        with pytest.raises(OddSum):
+        with pytest.raises(InstanceError,
+                           match="the elements must have an even sum"):
             partition.generate_ecp([1, 2, 3, 1], 0.01)
 
 
