@@ -34,6 +34,8 @@ def hist_strategy(g: model.GasMeasure, f) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != costs.shape:
         raise InstanceError("frequency vector length must match the measure")
+    if not np.all(np.isfinite(f)):
+        raise InstanceError("frequencies must be finite")
     weighted = f * costs
     total = weighted.sum()
     if total <= 0:
@@ -72,6 +74,8 @@ def hist_loss_range(instance: model.ResourceInstance, f_low,
     m = instance.num_operations
     if f_low.shape != (m,) or f_high.shape != (m,):
         raise InstanceError("box bounds need one entry per operation")
+    if not (np.all(np.isfinite(f_low)) and np.all(np.isfinite(f_high))):
+        raise InstanceError("box bounds must be finite")
     if np.any(f_low < 0) or np.any(f_low > f_high + 1e-12):
         raise InstanceError("need 0 <= f_low <= f_high componentwise")
     if f_low.sum() > 1 + 1e-9 or f_high.sum() < 1 - 1e-9:

@@ -157,28 +157,52 @@ def instance_from_arrays(operation_names, resource_names, usage, capacities,
         excluded_resources=excluded, warnings=tuple(warnings))
 
 
+# JSON values that float() would convert but that are not numbers
+_NOT_NUMBERS = frozenset((bool, str))
+
+
+def _number(value):
+    if value.__class__ in _NOT_NUMBERS:
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _flag(value):
+    if isinstance(value, str):      # bool("false") is True
+        raise TypeError(f"congesting must be true or false, got {value!r}")
+    return bool(value)
+
+
 def walk_instance(raw):
     """Resource triples, operation pairs and notes of an instance mapping
     (see the formats module): names become str, amounts float, zero usages
     are dropped and usage keys keep their order.  A usage naming a resource
-    that is not listed, or any other shape, raises InstanceError."""
+    that is not listed, a boolean or string amount, a string congesting
+    flag, notes that are not a list, or any other shape, raises
+    InstanceError."""
     try:
         resources = [
-            (str(r["name"]), float(r["capacity"]),
-             bool(r.get("congesting", True)))
+            (str(r["name"]), _number(r["capacity"]),
+             _flag(r.get("congesting", True)))
             for r in raw.get("resources", [])]
         known = {name for name, _, _ in resources}
         operations = []
         for op in raw.get("operations", []):
-            usage = {str(k): float(v) for k, v in op.get("usage", {}).items()}
-            unknown = usage.keys() - known
+            # _number inlined, with the zero filter, in one pass per entry
+            amounts = op.get("usage", {})
+            usage = {str(k): x for k, v in amounts.items()
+                     if (x := float(v) if v.__class__ not in _NOT_NUMBERS
+                         else _number(v)) != 0}
+            unknown = {str(k) for k in amounts.keys() - known} - known
             if unknown:
                 raise InstanceError(
                     f"operation {op.get('name')!r} uses unknown "
                     f"resources {sorted(unknown)}")
-            operations.append(
-                (str(op["name"]), {k: v for k, v in usage.items() if v != 0}))
-        notes = [str(s) for s in raw.get("notes", [])]
+            operations.append((str(op["name"]), usage))
+        notes = raw.get("notes", [])
+        if not isinstance(notes, (list, tuple)):
+            raise TypeError(f"notes must be a list, got {notes!r}")
+        notes = [str(s) for s in notes]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InstanceError):
             raise

@@ -2,10 +2,19 @@
 
 Each group gets its own single-dimensional measure (row max over the
 group's normalized columns); the plan's loss is the worst group loss.
+Group losses are cached per block of resources with their witness
+blocks.  Restricted to a block, the operation-resource support graph
+splits into connected components over which gas and feasibility both
+add, so only a connected block costs an LP; any other block's loss is
+the sum of its components' losses.
+
 Exact search enumerates set partitions block-by-block with
-branch-and-bound pruning; a greedy agglomerative merger covers larger
-instances.  The equal-cardinality-partition reduction instance doubles
-as a hardness fixture and a verification target.
+branch-and-bound pruning.  The k-th block is forced to be the whole
+remainder.  Before a block's LP, every cached witness block gives a
+certified lower bound on its loss, and a bound above the incumbent
+prunes the block with no LP.  A greedy agglomerative merger
+covers larger instances.  The equal-cardinality-partition reduction
+instance doubles as a hardness fixture and a verification target.
 """
 
 from dataclasses import dataclass
@@ -39,21 +48,98 @@ class EcpInstance:
     instance: model.ResourceInstance
 
 
-def _group_loss(instance, cols, cache):
-    """Single-dimensional approximability of the sub-instance restricted
-    to the given resource columns; operations with no usage there are
-    dropped, and an untouched group has loss 1."""
-    key = frozenset(cols)
-    if key in cache:
-        return cache[key]
-    sub = instance.normalized_usage[:, sorted(cols)]
-    sub = sub[np.any(sub > 0, axis=1)]
-    if sub.size == 0:
-        loss = 1.0
-    else:
-        loss = lpcore.loss_lp(sub.max(axis=1), sub).alpha
-    cache[key] = loss
-    return loss
+def _mask(cols):
+    return sum(1 << int(j) for j in cols)
+
+
+def _members(mask):
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+class _GroupLosses:
+    """Exact group losses of one instance and their witness blocks, by
+    resource bitmask.  A block's loss and witness are its connected
+    components' summed, so only a connected block costs an LP; a block
+    that no operation uses has loss 1."""
+
+    def __init__(self, instance):
+        self.usage = instance.normalized_usage
+        support = self.usage > 0
+        self.used = _mask(np.flatnonzero(support.any(axis=0)))
+        # resources joined through a shared operation, one bitmask each
+        self.neighbours = [_mask(np.flatnonzero(row))
+                           for row in support.T @ support]
+        self.entries = {}   # mask -> (loss, witness over all operations)
+        # the witness b of every LP solved and its loads b @ W', for the
+        # bounds
+        self.witnesses = np.empty((8, self.usage.shape[0]))
+        self.loads = np.empty((8, self.usage.shape[1]))
+        self.size = 0
+
+    def _component(self, mask):
+        """The block's support-graph component holding its lowest member."""
+        part = frontier = mask & -mask
+        while frontier:
+            j = frontier.bit_length() - 1
+            frontier ^= 1 << j
+            new = self.neighbours[j] & mask & ~part
+            part |= new
+            frontier |= new
+        return part
+
+    def _bound(self, mask):
+        """max_b (g_S . b) / max_{j in S} (b . w'_j) over the witnesses b
+        of the LPs solved so far, a lower bound on alpha(S) (0 before the
+        first LP)."""
+        cols = _members(mask)
+        top = self.loads[:self.size, cols].max(axis=1)
+        gas = self.witnesses[:self.size] @ self.usage[:, cols].max(axis=1)
+        return float(np.max(gas / np.where(top > 0, top, np.inf),
+                            initial=0.0))
+
+    def loss(self, mask, cutoff=np.inf):
+        """alpha of the block; where a witness certifies, before an LP,
+        that it exceeds a finite cutoff, that lower bound instead, which
+        is never cached."""
+        entry = self.entries.get(mask)
+        if entry is not None:
+            return entry[0]
+        live = mask & self.used
+        part = self._component(live)
+        if not live:
+            entry = (1.0, np.zeros(self.usage.shape[0]))
+        elif part == mask:      # connected: one LP
+            if cutoff < np.inf:
+                bound = self._bound(mask)
+                if bound > cutoff:
+                    return bound
+            sub = self.usage[:, _members(mask)]
+            rows = np.flatnonzero(np.any(sub > 0, axis=1))
+            sub = sub[rows]
+            sol = lpcore.loss_lp(sub.max(axis=1), sub)
+            witness = np.zeros(self.usage.shape[0])
+            witness[rows] = sol.x
+            entry = (sol.alpha, witness)
+            if self.size == len(self.witnesses):
+                self.witnesses = np.vstack([self.witnesses,
+                                            np.empty_like(self.witnesses)])
+                self.loads = np.vstack([self.loads,
+                                        np.empty_like(self.loads)])
+            self.witnesses[self.size] = witness
+            self.loads[self.size] = witness @ self.usage
+            self.size += 1
+        else:
+            # alpha and witness add over the component and the rest, and
+            # a resource no operation uses adds nothing
+            entry = (0.0, 0.0)
+            for p in (part, live ^ part):
+                if p:
+                    loss = self.loss(p, cutoff)
+                    if p not in self.entries:
+                        return loss     # alpha(S) >= alpha(p) > cutoff
+                    entry = (entry[0] + loss, entry[1] + self.entries[p][1])
+        self.entries[mask] = entry
+        return entry[0]
 
 
 def _check_partition(n, groups):
@@ -74,8 +160,8 @@ def partition_loss(instance: model.ResourceInstance, groups,
     """Evaluate a given partition of the resource indices."""
     groups = tuple(tuple(sorted(g)) for g in groups)
     _check_partition(instance.num_resources, groups)
-    cache = _cache if _cache is not None else {}
-    losses = np.array([_group_loss(instance, g, cache) for g in groups])
+    cache = _cache if _cache is not None else _GroupLosses(instance)
+    losses = np.array([cache.loss(_mask(g)) for g in groups])
     measures = tuple(np.max(instance.normalized_usage[:, list(g)], axis=1)
                      for g in groups)
     return PartitionPlan(groups, measures, losses, float(losses.max()))
@@ -96,8 +182,14 @@ def optimal_partition_exact(instance: model.ResourceInstance,
     """Minimize the loss over all partitions into at most k non-empty
     groups, by block-at-a-time enumeration with branch-and-bound.
 
-    A branch is pruned as soon as a completed block's loss exceeds the
-    incumbent.  Ties break to the lexicographically smallest assignment.
+    Each block holds the smallest resource not yet placed, and the k-th
+    block is the whole remainder, the only block that completes a
+    partition.  A branch is pruned as soon as a block's loss exceeds the
+    incumbent.  Block losses are exact (an LP per connected block, sums
+    over components otherwise, see _GroupLosses), except that an LP is
+    skipped when a cached witness already bounds the block's loss above
+    the incumbent.  Ties break to the lexicographically smallest
+    assignment.
     """
     n = instance.num_resources
     if not 1 <= k <= n:
@@ -106,34 +198,39 @@ def optimal_partition_exact(instance: model.ResourceInstance,
         raise TooManyResources(
             f"{n} resources exceed the exact enumeration limit "
             f"{EXACT_ENUMERATION_LIMIT}; use the greedy search")
-    cache = {}
+    cache = _GroupLosses(instance)
     best = {"loss": np.inf, "key": None, "groups": None}
 
     def recurse(remaining, groups, worst):
         if not remaining:
+            groups = tuple(_members(g) for g in groups)
             key = _assignment_key(groups, n)
             if (worst < best["loss"] - _TIE_TOL
                     or (worst <= best["loss"] + _TIE_TOL
                         and (best["key"] is None or key < best["key"]))):
                 best["loss"] = min(worst, best["loss"])
                 best["key"] = key
-                best["groups"] = tuple(groups)
+                best["groups"] = groups
             return
-        if len(groups) == k:
-            return
-        first = remaining[0]
-        rest = remaining[1:]
-        # every subset of the rest can join the block containing `first`
-        for bits in range(1 << len(rest)):
-            block = (first,) + tuple(
-                rest[t] for t in range(len(rest)) if bits >> t & 1)
-            loss = _group_loss(instance, block, cache)
+        if len(groups) == k - 1:
+            blocks = (remaining,)
+        else:
+            # the smallest remaining resource joined by each subset of
+            # the rest, in increasing order of the subset's bitmask
+            first = remaining & -remaining
+            rest = remaining ^ first
+            blocks, sub = [first], 0
+            while sub != rest:
+                sub = (sub - rest) & rest
+                blocks.append(first | sub)
+        for block in blocks:
+            # a bound must clear the incumbent by more than LP round-off
+            loss = cache.loss(block, best["loss"] * (1 + 1e-9) + _TIE_TOL)
             if loss > best["loss"] + _TIE_TOL:
                 continue
-            left = tuple(j for j in rest if j not in block)
-            recurse(left, groups + [block], max(worst, loss))
+            recurse(remaining ^ block, groups + [block], max(worst, loss))
 
-    recurse(tuple(range(n)), [], 1.0)
+    recurse((1 << n) - 1, [], 1.0)
     return partition_loss(instance, best["groups"], _cache=cache)
 
 
@@ -145,15 +242,15 @@ def optimal_partition_greedy(instance: model.ResourceInstance,
     n = instance.num_resources
     if not 1 <= k <= n:
         raise InstanceError(f"k must be in 1..{n}")
-    cache = {}
-    groups = [(j,) for j in range(n)]
-    losses = [_group_loss(instance, g, cache) for g in groups]
+    cache = _GroupLosses(instance)
+    groups = [1 << j for j in range(n)]
+    losses = [cache.loss(g) for g in groups]
     while len(groups) > k:
         best_pair = None
         best_loss = np.inf
         for a in range(len(groups)):
             for b in range(a + 1, len(groups)):
-                merged = _group_loss(instance, groups[a] + groups[b], cache)
+                merged = cache.loss(groups[a] | groups[b])
                 others = [losses[t] for t in range(len(groups))
                           if t not in (a, b)]
                 total = max([merged] + others)
@@ -161,10 +258,11 @@ def optimal_partition_greedy(instance: model.ResourceInstance,
                     best_loss = total
                     best_pair = (a, b)
         a, b = best_pair
-        groups[a] = tuple(sorted(groups[a] + groups[b]))
-        losses[a] = _group_loss(instance, groups[a], cache)
+        groups[a] |= groups[b]
+        losses[a] = cache.loss(groups[a])
         del groups[b], losses[b]
-    return partition_loss(instance, groups, _cache=cache)
+    return partition_loss(instance, [_members(g) for g in groups],
+                          _cache=cache)
 
 
 def best_partition(instance: model.ResourceInstance,

@@ -60,7 +60,21 @@ class TestMeasure:
         ' "operations": [{"name": "a", "usage": [1]}]}',
         '{"notes": 3, "resources": [{"name": "r", "capacity": 1}],'
         ' "operations": [{"name": "a", "usage": {"r": 1}}]}',
-    ], ids=["operation-not-object", "usage-not-object", "notes-not-list"])
+        '{"notes": "abc", "resources": [{"name": "r", "capacity": 1}],'
+        ' "operations": [{"name": "a", "usage": {"r": 1}}]}',
+        '{"resources": [{"name": "r", "capacity": true}],'
+        ' "operations": [{"name": "a", "usage": {"r": 1}}]}',
+        '{"resources": [{"name": "r", "capacity": "2"}],'
+        ' "operations": [{"name": "a", "usage": {"r": 1}}]}',
+        '{"resources": [{"name": "r", "capacity": 1}],'
+        ' "operations": [{"name": "a", "usage": {"r": "2"}}]}',
+        '{"resources": [{"name": "r", "capacity": 1}],'
+        ' "operations": [{"name": "a", "usage": {"r": false}}]}',
+        '{"resources": [{"name": "r", "capacity": 1, "congesting": "no"}],'
+        ' "operations": [{"name": "a", "usage": {"r": 1}}]}',
+    ], ids=["operation-not-object", "usage-not-object", "notes-not-list",
+            "notes-string", "capacity-boolean", "capacity-string",
+            "usage-string", "usage-boolean", "congesting-string"])
     def test_malformed_shape_exits_2(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)

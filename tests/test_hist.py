@@ -34,6 +34,14 @@ class TestHistStrategy:
                            match="all frequency mass on zero-cost operations"):
             hist.hist_strategy(g, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_frequencies_rejected(self, table1, bad):
+        g = model.minimal_gas_measure(table1)
+        with pytest.raises(InstanceError, match="frequencies must be finite"):
+            hist.hist_strategy(g, [bad, 1, 0, 0])
+        with pytest.raises(InstanceError, match="frequencies must be finite"):
+            hist.hist_loss(table1, [bad, 1, 0, 0])
+
 
 class TestHistLoss:
     def test_table1_uniform_appendix_example(self, table1):
@@ -134,6 +142,14 @@ class TestHistLossRange:
         with pytest.raises(InstanceError,
                            match="the box does not intersect the simplex"):
             hist.hist_loss_range(table1, np.full(4, 0.3), np.full(4, 0.6))
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_box_rejected(self, table1, bad):
+        low, high = np.zeros(4), np.ones(4)
+        for bounds in (([bad, 0, 0, 0], high), (low, [1, 1, bad, 1])):
+            with pytest.raises(InstanceError,
+                               match="box bounds must be finite"):
+                hist.hist_loss_range(table1, *bounds)
 
 
 class TestMultiBlockAveraging:

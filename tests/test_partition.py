@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gasloss import approx, lpcore, model, partition
+from gasloss import approx, formats, lpcore, model, partition
 from gasloss.errors import InstanceError, TooManyResources
 from helpers import random_instance
 
@@ -11,6 +11,122 @@ def balanced_ecp_elements(rng, half_size):
     first = rng.integers(1, 10, size=half_size)
     second = rng.permutation(first)
     return list(first) + list(second)
+
+
+def reference_group_loss(instance, cols):
+    """One loss LP on the block's columns, with the operations it does
+    not use dropped; a block no operation uses has loss 1."""
+    sub = instance.normalized_usage[:, sorted(cols)]
+    sub = sub[np.any(sub > 0, axis=1)]
+    if sub.size == 0:
+        return 1.0
+    return lpcore.loss_lp(sub.max(axis=1), sub).alpha
+
+
+def reference_exact(instance, k, cache):
+    """The plain enumeration the structure-aware search replaced: every
+    subset of the rest joins the block holding the first unplaced
+    resource, and every block costs one LP (memoized in cache).  Returns
+    the groups and per-group losses of the best partition."""
+    n = instance.num_resources
+    best = {"loss": np.inf, "key": None, "groups": None}
+
+    def loss_of(block):
+        if block not in cache:
+            cache[block] = reference_group_loss(instance, block)
+        return cache[block]
+
+    def recurse(remaining, groups, worst):
+        if not remaining:
+            key = partition._assignment_key(groups, n)
+            if (worst < best["loss"] - 1e-12
+                    or (worst <= best["loss"] + 1e-12
+                        and (best["key"] is None or key < best["key"]))):
+                best.update(loss=min(worst, best["loss"]), key=key,
+                            groups=tuple(groups))
+            return
+        if len(groups) == k:
+            return
+        first, rest = remaining[0], remaining[1:]
+        for bits in range(1 << len(rest)):
+            block = (first,) + tuple(
+                rest[t] for t in range(len(rest)) if bits >> t & 1)
+            loss = loss_of(block)
+            if loss > best["loss"] + 1e-12:
+                continue
+            left = tuple(j for j in rest if j not in block)
+            recurse(left, groups + [block], max(worst, loss))
+
+    recurse(tuple(range(n)), [], 1.0)
+    return best["groups"], [loss_of(g) for g in best["groups"]]
+
+
+def ecp_fixtures():
+    """(elements, epsilon) of every ECP fixture of acceptance criterion 7,
+    in its order, and a 12-resource no-instance (no 3 of its 6 elements
+    sum to T = 7)."""
+    fixtures = [([1, 3, 2, 2], 0.1), ([1, 1, 1, 5], 0.1)]
+    rng = np.random.default_rng(1234)
+    for trial in range(20):
+        half = 3 if trial % 4 == 0 else 2
+        first = rng.integers(1, 10, size=half)
+        elements = list(first) + list(rng.permutation(first))
+        fixtures.append((elements, 1 / (4 * int(sum(first)))))
+    return fixtures + [([1, 1, 1, 1, 1, 9], 1 / 28)]
+
+
+def assert_search_matches_reference(instance):
+    cache = {}
+    for k in (2, 3):
+        plan = partition.optimal_partition_exact(instance, k)
+        groups, losses = reference_exact(instance, k, cache)
+        assert plan.groups == groups
+        assert np.allclose(plan.per_group_losses, losses, rtol=1e-12, atol=0)
+        assert plan.loss == pytest.approx(max(losses), rel=1e-12)
+
+
+def block_diagonal_instance(rng, num_blocks):
+    """Random dense blocks on the diagonal, rows and columns shuffled."""
+    usage = np.zeros((0, 0))
+    for _ in range(num_blocks):
+        m, n = rng.integers(1, 5), rng.integers(1, 4)
+        block = rng.integers(0, 6, size=(m, n)).astype(float)
+        block[:, 0] += 1      # no all-zero operation row
+        usage = np.block([[usage, np.zeros((usage.shape[0], n))],
+                          [np.zeros((m, usage.shape[1])), block]])
+    usage = usage[rng.permutation(usage.shape[0])]
+    usage = usage[:, rng.permutation(usage.shape[1])]
+    m, n = usage.shape
+    return model.instance_from_arrays(
+        [f"op{i}" for i in range(m)], [f"r{j}" for j in range(n)], usage,
+        rng.integers(1, 10, size=n))
+
+
+def structured_instances():
+    rng = np.random.default_rng(8)
+    for _ in range(12):
+        yield block_diagonal_instance(rng, int(rng.integers(2, 5)))
+    for seed in range(8):
+        yield formats.random_instance_doc(12, 8, 0.25, seed).to_instance()
+    yield partition.generate_ecp([1, 3, 2, 2, 1, 1], 0.05).instance
+
+
+def random_masks(rng, n, count):
+    return {int(v) for v in rng.integers(1, 1 << n, size=count)}
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """One entry per lpcore.loss_lp call made during the test."""
+    calls = []
+    solve = lpcore.loss_lp
+
+    def count(a, M):
+        calls.append(1)
+        return solve(a, M)
+
+    monkeypatch.setattr(lpcore, "loss_lp", count)
+    return calls
 
 
 class TestPartitionLoss:
@@ -95,6 +211,116 @@ class TestExactSearch:
             losses = [partition.optimal_partition_exact(inst, k).loss
                       for k in range(1, inst.num_resources + 1)]
             assert all(a >= b - 1e-9 for a, b in zip(losses, losses[1:]))
+
+
+class TestSearchStructure:
+    """The search's three shortcuts (component sums, the forced last
+    block, certified bounds) against plain LPs and plain enumeration."""
+
+    @pytest.mark.parametrize("elements, epsilon", ecp_fixtures())
+    def test_matches_plain_enumeration_on_ecp_fixtures(self, elements,
+                                                       epsilon):
+        assert_search_matches_reference(
+            partition.generate_ecp(elements, epsilon).instance)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_plain_enumeration_on_dense_random(self, seed):
+        assert_search_matches_reference(
+            formats.random_instance_doc(30, 10, 1.0, seed).to_instance())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_plain_enumeration_on_sparse_random(self, seed):
+        assert_search_matches_reference(
+            formats.random_instance_doc(100, 10, 0.5, seed).to_instance())
+
+    def test_disconnected_block_loss_is_the_joint_lp(self):
+        rng = np.random.default_rng(5)
+        disconnected = 0
+        for inst in structured_instances():
+            cache = partition._GroupLosses(inst)
+            n = inst.num_resources
+            for mask in random_masks(rng, n, 25):
+                cols = partition._members(mask)
+                live = mask & cache.used
+                disconnected += cache._component(live) != live
+                assert cache.loss(mask) == pytest.approx(
+                    reference_group_loss(inst, cols), rel=1e-12)
+        assert disconnected > 100
+
+    def test_witnesses_certify_their_losses(self):
+        rng = np.random.default_rng(6)
+        for inst in structured_instances():
+            cache = partition._GroupLosses(inst)
+            for mask in random_masks(rng, inst.num_resources, 10):
+                loss = cache.loss(mask)
+                witness = cache.entries[mask][1]
+                sub = inst.normalized_usage[:, partition._members(mask)]
+                assert np.all(witness >= 0)
+                assert np.all(witness @ sub <= 1 + 1e-9)
+                if np.any(sub > 0):
+                    assert witness @ sub.max(axis=1) == pytest.approx(
+                        loss, rel=1e-9)
+
+    def test_certificate_bound_never_exceeds_the_lp(self):
+        rng = np.random.default_rng(7)
+        bounded = 0
+        instances = list(structured_instances())
+        instances += [formats.random_instance_doc(20, 8, d, s).to_instance()
+                      for s in range(4) for d in (0.5, 1.0)]
+        for inst in instances:
+            cache = partition._GroupLosses(inst)
+            n = inst.num_resources
+            for mask in random_masks(rng, n, 40):
+                cache.loss(mask)
+            for mask in random_masks(rng, n, 40):
+                bound = cache._bound(mask)
+                bounded += bound > 0
+                assert bound <= reference_group_loss(
+                    inst, partition._members(mask)) * (1 + 1e-9)
+        assert bounded > 100
+
+    def test_search_caches_only_exact_losses(self, monkeypatch):
+        caches = []
+        evaluate = partition.partition_loss
+
+        def record(instance, groups, _cache=None):
+            caches.append((instance, _cache))
+            return evaluate(instance, groups, _cache=_cache)
+
+        monkeypatch.setattr(partition, "partition_loss", record)
+        instances = [formats.random_instance_doc(30, 10, 1.0, s).to_instance()
+                     for s in (1, 4)]
+        instances += [partition.generate_ecp([1, 3, 2, 2], 1 / 16).instance]
+        for inst in instances:
+            for k in (2, 3):
+                partition.optimal_partition_exact(inst, k)
+        assert len(caches) == 6
+        fresh = {}
+        for inst, cache in caches:
+            for mask, (loss, _) in cache.entries.items():
+                if (id(inst), mask) not in fresh:
+                    fresh[id(inst), mask] = reference_group_loss(
+                        inst, partition._members(mask))
+                assert loss == pytest.approx(fresh[id(inst), mask],
+                                             rel=1e-12)
+
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_ecp_search_solves_one_lp_per_connected_block(self, lp_calls, k):
+        # 6 element pairs and 12 singletons: every connected block of the
+        # 12-resource reduction instance, each solved once
+        ecp = partition.generate_ecp([1, 3, 2, 2, 3, 1], 1 / 24)
+        plan = partition.optimal_partition_exact(ecp.instance, k)
+        if k == 2:      # a yes-instance of 6 elements: 6/2 + T*eps = 3 + 6/24
+            assert plan.loss == pytest.approx(3.25, rel=1e-12)
+        assert len(lp_calls) <= 18
+
+    def test_dense_search_forces_the_last_block_and_bounds(self, lp_calls):
+        # one component, so only the forced last block and the bounds
+        # save LPs: 131 with both, 449 with the bounds alone, 587 with
+        # the forced block alone, 944 with plain enumeration
+        inst = formats.random_instance_doc(30, 10, 1.0, 4).to_instance()
+        partition.optimal_partition_exact(inst, 2)
+        assert len(lp_calls) <= 300
 
 
 class TestGreedy:
