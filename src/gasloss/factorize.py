@@ -17,6 +17,8 @@ from . import lpcore, model, partition
 from .errors import InstanceError, NumericalFailure
 
 REPRESENT_TOL = 1e-9
+# slack of the elementwise cover check: (1 + s)^2 <= 1 + REPRESENT_TOL
+_COVER_SLACK = REPRESENT_TOL / 3
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,20 @@ def kdim_represents(instance_norm: model.NormalizedInstance, A) -> bool:
                for j in range(w.shape[1]))
 
 
+def _covers(w, A, R):
+    """True when A >= 0, R >= 0, every column sum of R is at most 1 + s
+    and W' <= (1 + s) A R wherever W' > 0, for s = _COVER_SLACK.  Then an
+    A-feasible x (x @ A <= 1) loads resource j at most
+    (1 + s) x @ A @ R_j <= (1 + s)^2 <= 1 + REPRESENT_TOL, which certifies
+    what kdim_represents checks with one LP per resource."""
+    R = np.atleast_2d(np.asarray(R, dtype=float))
+    if R.shape != (A.shape[1], w.shape[1]) or A.shape[0] != w.shape[0]:
+        return False
+    return bool(np.all(A >= 0) and np.all(R >= 0)
+                and np.all(R.sum(axis=0) <= 1 + _COVER_SLACK)
+                and np.all((w <= (1 + _COVER_SLACK) * (A @ R)) | (w <= 0)))
+
+
 def partition_to_factorization(instance: model.ResourceInstance,
                                plan: partition.PartitionPlan) -> Factorization:
     """A_il = max over group l of w'_ij, R = group indicator matrix.
@@ -68,12 +84,15 @@ def factor_loss(instance_norm: model.NormalizedInstance, A,
                 R=None) -> FactorReport:
     """Loss of the k-dimensional measure A: per dimension, the game on
     u_ij = w'_ij / A_il over operations with A_il > 0; overall the
-    largest per-dimension loss."""
+    largest per-dimension loss.  A must represent the instance: a given
+    right factor R that covers W' elementwise certifies this (_covers),
+    and otherwise kdim_represents decides it with its LPs."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    if not kdim_represents(instance_norm, A):
+    w = instance_norm.matrix
+    if not (R is not None and _covers(w, A, R)
+            or kdim_represents(instance_norm, A)):
         raise InstanceError(
             "the k-dimensional measure does not represent the instance")
-    w = instance_norm.matrix
     k = A.shape[1]
     values = np.full(k, np.nan)
     warnings = []

@@ -5,16 +5,20 @@ group's normalized columns); the plan's loss is the worst group loss.
 Group losses are cached per block of resources with their witness
 blocks.  Restricted to a block, the operation-resource support graph
 splits into connected components over which gas and feasibility both
-add, so only a connected block costs an LP; any other block's loss is
-the sum of its components' losses.
+add, so only a connected block can cost an LP; any other block's loss is
+the sum of its components' losses.  A connected block whose every
+resource has a private operation (one that uses no other resource of
+the block) has loss exactly its size, with no LP.
 
 Exact search enumerates set partitions block-by-block with
 branch-and-bound pruning.  The k-th block is forced to be the whole
-remainder.  Before a block's LP, every cached witness block gives a
-certified lower bound on its loss, and a bound above the incumbent
-prunes the block with no LP.  A greedy agglomerative merger
-covers larger instances.  The equal-cardinality-partition reduction
-instance doubles as a hardness fixture and a verification target.
+remainder.  Before a block's LP, the number of its resources with a
+private operation, then every cached witness block, gives a certified
+lower bound on its loss, and a bound above the incumbent prunes the
+block with no LP.  A greedy agglomerative merger covers larger
+instances; it skips a merge's LP when the merge cannot beat the best
+one of its round.  The equal-cardinality-partition reduction instance
+doubles as a hardness fixture and a verification target.
 """
 
 from dataclasses import dataclass
@@ -59,8 +63,16 @@ def _members(mask):
 class _GroupLosses:
     """Exact group losses of one instance and their witness blocks, by
     resource bitmask.  A block's loss and witness are its connected
-    components' summed, so only a connected block costs an LP; a block
-    that no operation uses has loss 1."""
+    components' summed, so only a connected block can cost an LP; a block
+    that no operation uses has loss 1.
+
+    Operation i is private to resource j in block S when j is the only
+    resource of S that i uses.  The dual y = 1_S is feasible, so
+    alpha(S) <= |S|, and one private operation per resource, each at
+    x_i = 1/w'_ij, loads every resource of S to 1 and carries gas |S|.
+    So a block whose every resource has a private operation has loss
+    exactly |S| with no LP, and the number of resources that have one is
+    a certified lower bound on any block's loss."""
 
     def __init__(self, instance):
         self.usage = instance.normalized_usage
@@ -69,9 +81,22 @@ class _GroupLosses:
         # resources joined through a shared operation, one bitmask each
         self.neighbours = [_mask(np.flatnonzero(row))
                            for row in support.T @ support]
+        # per resource j: (other resources, i) of the operations i using
+        # j whose support is minimal by inclusion, smallest first; i is
+        # private to j in S exactly when S holds none of the others
+        ops = sorted(((_mask(np.flatnonzero(row)), i)
+                      for i, row in enumerate(support)),
+                     key=lambda op: op[0].bit_count())
+        self.private = [[] for _ in range(self.usage.shape[1])]
+        for mask, i in ops:
+            for j in _members(mask):
+                others = mask ^ (1 << j)
+                kept = self.private[j]
+                if all(o & ~others for o, _ in kept):
+                    kept.append((others, i))
         self.entries = {}   # mask -> (loss, witness over all operations)
-        # the witness b of every LP solved and its loads b @ W', for the
-        # bounds
+        # the witness b of every connected block settled, by certificate
+        # or LP, and its loads b @ W', for the bounds
         self.witnesses = np.empty((8, self.usage.shape[0]))
         self.loads = np.empty((8, self.usage.shape[1]))
         self.size = 0
@@ -87,10 +112,30 @@ class _GroupLosses:
             frontier |= new
         return part
 
+    def _private_ops(self, mask, cutoff):
+        """(j, i) for each resource j of the block that has an operation
+        private to it, i the first such one in j's list; after a resource
+        with none, the scan stops once the count cannot exceed the
+        cutoff."""
+        found = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            for others, i in self.private[j]:
+                if not others & mask:
+                    found.append((j, i))
+                    break
+            else:
+                if len(found) + rest.bit_count() <= cutoff:
+                    break
+        return found
+
     def _bound(self, mask):
         """max_b (g_S . b) / max_{j in S} (b . w'_j) over the witnesses b
-        of the LPs solved so far, a lower bound on alpha(S) (0 before the
-        first LP)."""
+        of the connected blocks settled so far, a lower bound on alpha(S)
+        (0 before the first)."""
         cols = _members(mask)
         top = self.loads[:self.size, cols].max(axis=1)
         gas = self.witnesses[:self.size] @ self.usage[:, cols].max(axis=1)
@@ -98,9 +143,9 @@ class _GroupLosses:
                             initial=0.0))
 
     def loss(self, mask, cutoff=np.inf):
-        """alpha of the block; where a witness certifies, before an LP,
-        that it exceeds a finite cutoff, that lower bound instead, which
-        is never cached."""
+        """alpha of the block; where the private count or a witness
+        certifies, before an LP, that it exceeds a finite cutoff, that
+        lower bound instead, which is never cached."""
         entry = self.entries.get(mask)
         if entry is not None:
             return entry[0]
@@ -108,18 +153,27 @@ class _GroupLosses:
         part = self._component(live)
         if not live:
             entry = (1.0, np.zeros(self.usage.shape[0]))
-        elif part == mask:      # connected: one LP
-            if cutoff < np.inf:
-                bound = self._bound(mask)
-                if bound > cutoff:
-                    return bound
-            sub = self.usage[:, _members(mask)]
-            rows = np.flatnonzero(np.any(sub > 0, axis=1))
-            sub = sub[rows]
-            sol = lpcore.loss_lp(sub.max(axis=1), sub)
+        elif part == mask:      # connected: a certificate or one LP
+            found = self._private_ops(mask, cutoff)
             witness = np.zeros(self.usage.shape[0])
-            witness[rows] = sol.x
-            entry = (sol.alpha, witness)
+            if len(found) == mask.bit_count():
+                for j, i in found:
+                    witness[i] = 1.0 / self.usage[i, j]
+                entry = (float(len(found)), witness)
+            else:
+                # the private count, then the witnesses, bound alpha below
+                if len(found) > cutoff:
+                    return float(len(found))
+                if cutoff < np.inf:
+                    bound = self._bound(mask)
+                    if bound > cutoff:
+                        return bound
+                sub = self.usage[:, _members(mask)]
+                rows = np.flatnonzero(np.any(sub > 0, axis=1))
+                sub = sub[rows]
+                sol = lpcore.loss_lp(sub.max(axis=1), sub)
+                witness[rows] = sol.x
+                entry = (sol.alpha, witness)
             if self.size == len(self.witnesses):
                 self.witnesses = np.vstack([self.witnesses,
                                             np.empty_like(self.witnesses)])
@@ -168,12 +222,15 @@ def partition_loss(instance: model.ResourceInstance, groups,
 
 
 def _assignment_key(groups, n):
-    """Restricted-growth label per resource; groups are in order of their
-    smallest member, so labels follow first appearance."""
+    """Restricted-growth label per resource, of groups given as bitmasks
+    in order of their smallest member, so labels follow first
+    appearance."""
     labels = [0] * n
     for r, group in enumerate(groups):
-        for j in group:
-            labels[j] = r
+        while group:
+            low = group & -group
+            labels[low.bit_length() - 1] = r
+            group ^= low
     return tuple(labels)
 
 
@@ -185,11 +242,11 @@ def optimal_partition_exact(instance: model.ResourceInstance,
     Each block holds the smallest resource not yet placed, and the k-th
     block is the whole remainder, the only block that completes a
     partition.  A branch is pruned as soon as a block's loss exceeds the
-    incumbent.  Block losses are exact (an LP per connected block, sums
-    over components otherwise, see _GroupLosses), except that an LP is
-    skipped when a cached witness already bounds the block's loss above
-    the incumbent.  Ties break to the lexicographically smallest
-    assignment.
+    incumbent.  Block losses are exact (a private-operation certificate
+    or an LP per connected block, sums over components otherwise, see
+    _GroupLosses), except that an LP is skipped when the private count
+    or a cached witness already bounds the block's loss above the
+    incumbent.  Ties break to the lexicographically smallest assignment.
     """
     n = instance.num_resources
     if not 1 <= k <= n:
@@ -203,14 +260,14 @@ def optimal_partition_exact(instance: model.ResourceInstance,
 
     def recurse(remaining, groups, worst):
         if not remaining:
-            groups = tuple(_members(g) for g in groups)
-            key = _assignment_key(groups, n)
-            if (worst < best["loss"] - _TIE_TOL
-                    or (worst <= best["loss"] + _TIE_TOL
-                        and (best["key"] is None or key < best["key"]))):
-                best["loss"] = min(worst, best["loss"])
-                best["key"] = key
-                best["groups"] = groups
+            # only a leaf within the tie tolerance of the incumbent needs
+            # its key; the first leaf beats the infinite incumbent
+            if worst <= best["loss"] + _TIE_TOL:
+                key = _assignment_key(groups, n)
+                if worst < best["loss"] - _TIE_TOL or key < best["key"]:
+                    best["loss"] = min(worst, best["loss"])
+                    best["key"] = key
+                    best["groups"] = groups
             return
         if len(groups) == k - 1:
             blocks = (remaining,)
@@ -231,14 +288,20 @@ def optimal_partition_exact(instance: model.ResourceInstance,
             recurse(remaining ^ block, groups + [block], max(worst, loss))
 
     recurse((1 << n) - 1, [], 1.0)
-    return partition_loss(instance, best["groups"], _cache=cache)
+    return partition_loss(instance, [_members(g) for g in best["groups"]],
+                          _cache=cache)
 
 
 def optimal_partition_greedy(instance: model.ResourceInstance,
                              k: int) -> PartitionPlan:
     """Agglomerative heuristic: start from singletons and repeatedly merge
     the pair of groups giving the smallest resulting loss (ties: lowest
-    indices) until k groups remain."""
+    indices) until k groups remain.
+
+    A merge cannot win when the worst of the other groups already reaches
+    the round's best total, so it costs nothing; otherwise its loss is
+    asked for with the best total as cutoff, and a certified bound above
+    that cutoff rules it out as surely as its exact loss would."""
     n = instance.num_resources
     if not 1 <= k <= n:
         raise InstanceError(f"k must be in 1..{n}")
@@ -248,12 +311,17 @@ def optimal_partition_greedy(instance: model.ResourceInstance,
     while len(groups) > k:
         best_pair = None
         best_loss = np.inf
+        # the worst group outside a pair is among the three worst
+        top = sorted(range(len(groups)), key=losses.__getitem__)[-3:]
         for a in range(len(groups)):
             for b in range(a + 1, len(groups)):
-                merged = cache.loss(groups[a] | groups[b])
-                others = [losses[t] for t in range(len(groups))
-                          if t not in (a, b)]
-                total = max([merged] + others)
+                others = max((losses[t] for t in top if t != a and t != b),
+                             default=-np.inf)
+                if others >= best_loss - _TIE_TOL:
+                    continue
+                merged = cache.loss(groups[a] | groups[b],
+                                    best_loss * (1 + 1e-9) + _TIE_TOL)
+                total = max(merged, others)
                 if total < best_loss - _TIE_TOL:
                     best_loss = total
                     best_pair = (a, b)

@@ -1,6 +1,6 @@
 import pytest
 
-from gasloss import model
+from gasloss import lpcore, model
 
 
 @pytest.fixture
@@ -25,3 +25,17 @@ def figure1():
     return model.instance_from_arrays(
         ["gas_unit", "blob_unit"], ["gas", "blobs"],
         [[1, 0], [0, 1]], [30, 6])
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """One entry per lpcore.loss_lp call made during the test."""
+    calls = []
+    solve = lpcore.loss_lp
+
+    def count(a, M):
+        calls.append(1)
+        return solve(a, M)
+
+    monkeypatch.setattr(lpcore, "loss_lp", count)
+    return calls

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gasloss import approx, factorize, lpcore, model, partition
+from gasloss import approx, factorize, formats, lpcore, model, partition
 from gasloss.errors import InstanceError
 from helpers import random_instance
 
@@ -136,6 +136,123 @@ class TestFactorLoss:
         assert np.isnan(report.per_dimension_values[1])
         assert report.alpha == pytest.approx(11 / 8, abs=1e-9)
         assert any("all-zero" in w for w in report.warnings)
+
+
+def bench_style_instances():
+    """Random density-0.5 instances of the sizes the benchmark factorizes."""
+    for s, (m, n) in enumerate(((30, 8), (60, 8), (100, 10))):
+        yield formats.random_instance_doc(m, n, 0.5, s).to_instance()
+
+
+class TestCoverCheck:
+    def test_agrees_with_kdim_represents(self, monkeypatch):
+        calls = []
+        evaluate = factorize.factor_loss
+
+        def record(instance_norm, A, R=None):
+            calls.append((instance_norm, A, R))
+            return evaluate(instance_norm, A, R)
+
+        monkeypatch.setattr(factorize, "factor_loss", record)
+        assert ((1 + factorize._COVER_SLACK) ** 2
+                <= 1 + factorize.REPRESENT_TOL)
+        cases = [(random_instance(seed), 2) for seed in range(12)]
+        cases += [(inst, k) for inst in bench_style_instances()
+                  for k in (2, 3)]
+        for inst, k in cases:
+            factorize.alternating_factorization(
+                model.normalize(inst), min(k, inst.num_resources))
+        # the initial pair and at least one alternating round per case
+        assert len(calls) >= 2 * len(cases)
+        for norm, A, R in calls:
+            w = norm.matrix
+            # every pair the alternation evaluates covers W'
+            assert factorize._covers(w, A, R)
+            assert factorize.kdim_represents(norm, A)
+            # a cover of a scaled-down measure fails, and so does A itself
+            assert not factorize._covers(w, 0.5 * A, R)
+            assert not factorize.kdim_represents(norm, 0.5 * A)
+
+    def test_non_covering_column_falls_back_to_the_lps(self, monkeypatch,
+                                                       table1):
+        # a column the cover does not reach, as _col_update keeps from
+        # R_prev when its LP has no solution; A itself still represents
+        norm = model.normalize(table1)
+        fact = factorize.partition_to_factorization(
+            table1, partition.partition_loss(table1, [(0,), (1,)]))
+        R = fact.R.copy()
+        R[:, 1] = 0.0
+        assert not factorize._covers(norm.matrix, fact.A, R)
+        checked = []
+        check = factorize.kdim_represents
+
+        def record(instance_norm, A):
+            checked.append(1)
+            return check(instance_norm, A)
+
+        monkeypatch.setattr(factorize, "kdim_represents", record)
+        report = factorize.factor_loss(norm, fact.A, R)
+        assert checked
+        assert report.alpha == pytest.approx(
+            factorize.factor_loss(norm, fact.A).alpha, rel=1e-12)
+        checked.clear()
+        factorize.factor_loss(norm, fact.A, fact.R)
+        assert not checked
+
+    def test_non_representing_measure_is_refused(self, table1):
+        # 0.1 g with R = [[1, 1]] neither covers nor represents; the
+        # refusal is an InstanceError, which the CLI exits with 2
+        norm = model.normalize(table1)
+        g = model.minimal_gas_measure(table1).costs
+        with pytest.raises(
+                InstanceError,
+                match="the k-dimensional measure does not represent the "
+                      "instance"):
+            factorize.factor_loss(norm, 0.1 * g[:, None], np.ones((1, 2)))
+
+    @pytest.mark.parametrize("A, R", [
+        # A R = W' but the column sums of R are 2
+        ([[0.5], [0.5], [0.5]], [[2.0, 2.0]]),
+        # A R = W' where W' > 0, but a negative cost lets x grow freely
+        ([[-1.0, 1.0], [1.0, 1.0], [1.0, -1.0]], np.eye(2)),
+    ])
+    def test_cover_without_its_conditions_is_refused(self, table3, A, R):
+        norm = model.normalize(table3)
+        assert not factorize.kdim_represents(norm, np.array(A))
+        assert not factorize._covers(norm.matrix, np.array(A), R)
+        with pytest.raises(InstanceError):
+            factorize.factor_loss(norm, A, R)
+
+    def test_alternation_matches_the_lp_checks(self, monkeypatch):
+        instances = list(bench_style_instances())[:2]
+        reports = [factorize.alternating_factorization(model.normalize(i), k)
+                   for i in instances for k in (2, 3)]
+        monkeypatch.setattr(factorize, "_covers", lambda w, A, R: False)
+        for report, (inst, k) in zip(reports, [(i, k) for i in instances
+                                              for k in (2, 3)]):
+            ref = factorize.alternating_factorization(model.normalize(inst),
+                                                      k)
+            assert np.array_equal(report.factorization.A, ref.factorization.A)
+            assert report.alpha == ref.alpha
+            assert np.array_equal(report.per_dimension_values,
+                                  ref.per_dimension_values)
+
+    def test_alternation_solves_no_representation_lps(self, lp_calls,
+                                                      monkeypatch):
+        represent_lps = []
+        check = factorize.kdim_represents
+
+        def counted(instance_norm, A):
+            before = len(lp_calls)
+            result = check(instance_norm, A)
+            represent_lps.append(len(lp_calls) - before)
+            return result
+
+        monkeypatch.setattr(factorize, "kdim_represents", counted)
+        for inst in bench_style_instances():
+            factorize.alternating_factorization(model.normalize(inst), 2)
+        assert lp_calls
+        assert sum(represent_lps) == 0
 
 
 class TestAlternating:

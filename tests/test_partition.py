@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasloss import approx, formats, lpcore, model, partition
 from gasloss.errors import InstanceError, TooManyResources
@@ -38,7 +40,9 @@ def reference_exact(instance, k, cache):
 
     def recurse(remaining, groups, worst):
         if not remaining:
-            key = partition._assignment_key(groups, n)
+            # restricted-growth labels: resource j gets its group's index
+            key = tuple(next(r for r, g in enumerate(groups) if j in g)
+                        for j in range(n))
             if (worst < best["loss"] - 1e-12
                     or (worst <= best["loss"] + 1e-12
                         and (best["key"] is None or key < best["key"]))):
@@ -115,18 +119,34 @@ def random_masks(rng, n, count):
     return {int(v) for v in rng.integers(1, 1 << n, size=count)}
 
 
-@pytest.fixture
-def lp_calls(monkeypatch):
-    """One entry per lpcore.loss_lp call made during the test."""
-    calls = []
-    solve = lpcore.loss_lp
+def plain_greedy(instance, k):
+    """The agglomerative search before merges could skip their LPs: every
+    candidate merge of every round gets its exact loss.  Returns the
+    groups and per-group losses."""
+    cache = partition._GroupLosses(instance)
+    groups = [1 << j for j in range(instance.num_resources)]
+    losses = [cache.loss(g) for g in groups]
+    while len(groups) > k:
+        best_pair, best_loss = None, np.inf
+        for a in range(len(groups)):
+            for b in range(a + 1, len(groups)):
+                merged = cache.loss(groups[a] | groups[b])
+                others = [losses[t] for t in range(len(groups))
+                          if t not in (a, b)]
+                total = max([merged] + others)
+                if total < best_loss - 1e-12:
+                    best_loss, best_pair = total, (a, b)
+        a, b = best_pair
+        groups[a] |= groups[b]
+        losses[a] = cache.loss(groups[a])
+        del groups[b], losses[b]
+    return tuple(partition._members(g) for g in groups), losses
 
-    def count(a, M):
-        calls.append(1)
-        return solve(a, M)
 
-    monkeypatch.setattr(lpcore, "loss_lp", count)
-    return calls
+# structured and random density-0.5 instances for the certificate property
+CERTIFICATE_INSTANCES = list(structured_instances()) + [
+    formats.random_instance_doc(m, n, 0.5, s).to_instance()
+    for m, n in ((12, 6), (30, 8), (20, 10)) for s in range(3)]
 
 
 class TestPartitionLoss:
@@ -249,9 +269,18 @@ class TestSearchStructure:
 
     def test_witnesses_certify_their_losses(self):
         rng = np.random.default_rng(6)
+        certified = 0
         for inst in structured_instances():
             cache = partition._GroupLosses(inst)
-            for mask in random_masks(rng, inst.num_resources, 10):
+            n = inst.num_resources
+            # every used singleton, and most small blocks of these sparse
+            # instances, is settled by its private-operation certificate
+            masks = random_masks(rng, n, 10) | {1 << j for j in range(n)}
+            for mask in masks:
+                live = mask & cache.used
+                certified += (live == mask and cache._component(mask) == mask
+                              and len(cache._private_ops(mask, np.inf))
+                              == mask.bit_count())
                 loss = cache.loss(mask)
                 witness = cache.entries[mask][1]
                 sub = inst.normalized_usage[:, partition._members(mask)]
@@ -260,6 +289,32 @@ class TestSearchStructure:
                 if np.any(sub > 0):
                     assert witness @ sub.max(axis=1) == pytest.approx(
                         loss, rel=1e-9)
+        assert certified > 150
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_private_certificate_fires_exactly_when_alpha_is_the_size(
+            self, data):
+        inst = data.draw(st.sampled_from(CERTIFICATE_INSTANCES))
+        cache = partition._GroupLosses(inst)
+        cols = data.draw(st.sets(
+            st.sampled_from(partition._members(cache.used)), min_size=1))
+        mask = partition._mask(cols)
+        fires = len(cache._private_ops(mask, np.inf)) == len(cols)
+        alpha = reference_group_loss(inst, cols)
+        assert fires == (abs(alpha - len(cols)) <= 1e-12 * len(cols))
+        if fires:
+            assert cache.loss(mask) == len(cols)
+
+    def test_private_count_bounds_every_block(self):
+        rng = np.random.default_rng(9)
+        for inst in CERTIFICATE_INSTANCES:
+            cache = partition._GroupLosses(inst)
+            for mask in random_masks(rng, inst.num_resources, 20):
+                # a cutoff of -inf makes the scan visit every resource
+                count = len(cache._private_ops(mask, -np.inf))
+                assert count <= reference_group_loss(
+                    inst, partition._members(mask)) * (1 + 1e-12)
 
     def test_certificate_bound_never_exceeds_the_lp(self):
         rng = np.random.default_rng(7)
@@ -315,15 +370,43 @@ class TestSearchStructure:
         assert len(lp_calls) <= 18
 
     def test_dense_search_forces_the_last_block_and_bounds(self, lp_calls):
-        # one component, so only the forced last block and the bounds
-        # save LPs: 131 with both, 449 with the bounds alone, 587 with
-        # the forced block alone, 944 with plain enumeration
+        # one component, and only singletons have private operations, so
+        # the forced last block and the bounds save the LPs: 120 with
+        # both and the certificate, 131 without the certificate, 449
+        # with the bounds alone, 587 with the forced block alone, 944
+        # with plain enumeration
         inst = formats.random_instance_doc(30, 10, 1.0, 4).to_instance()
         partition.optimal_partition_exact(inst, 2)
         assert len(lp_calls) <= 300
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_sparse_search_settles_most_blocks_by_certificate(self, lp_calls,
+                                                              seed, k):
+        # 12-57 LPs with the private-operation certificate, 372-544
+        # without it
+        inst = formats.random_instance_doc(100, 10, 0.5, seed).to_instance()
+        partition.optimal_partition_exact(inst, k)
+        assert len(lp_calls) <= 120
+
 
 class TestGreedy:
+    @pytest.mark.parametrize("n, k", ((16, 2), (16, 3), (20, 3), (24, 2)))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_plain_greedy(self, n, k, seed):
+        inst = formats.random_instance_doc(40, n, 1.0, seed).to_instance()
+        plan = partition.optimal_partition_greedy(inst, k)
+        groups, losses = plain_greedy(inst, k)
+        assert plan.groups == groups
+        assert np.allclose(plan.per_group_losses, losses, rtol=1e-12, atol=0)
+
+    def test_merges_that_cannot_win_skip_their_lp(self, lp_calls):
+        # 211 LPs with the skips, 278 without them, 552 with neither the
+        # skips nor the private-operation certificate
+        inst = formats.random_instance_doc(40, 24, 1.0, 1).to_instance()
+        partition.optimal_partition_greedy(inst, 2)
+        assert len(lp_calls) <= 250
+
     def test_no_merges_at_k_equals_n(self, table1):
         plan = partition.optimal_partition_greedy(table1, 2)
         assert plan.groups == ((0,), (1,))
