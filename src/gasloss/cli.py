@@ -146,7 +146,7 @@ def cmd_factorize(args) -> int:
             instance, partition.best_partition(instance, args.k))
         report = factorize.factor_loss(norm, fact.A, fact.R)
     else:
-        report = factorize.alternating_factorization(norm, args.k, args.rounds)
+        report = factorize.alternating_factorization(norm, args.k)
     for line in report.warnings:
         print(f"warning: {line}", file=sys.stderr)
     fact = report.factorization
@@ -273,7 +273,6 @@ def _build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=["from-partition", "alternate"],
                    default="from-partition")
-    p.add_argument("--rounds", type=int, default=20)
     p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("hist", help="loss under a historical operation mix")

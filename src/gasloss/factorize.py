@@ -4,9 +4,10 @@ A pair of nonnegative matrices (A, R) with W' <= A @ R elementwise and
 R column sums at most 1 guarantees that the k-dimensional costs A
 represent the normalized instance.  The loss of such a measure is the
 largest per-dimension loss, each the reciprocal of a zero-sum game
-value.  An alternating per-row / per-column LP heuristic improves on
-the partition-derived starting point; finding the globally optimal
-factorization is left open.  Every LP here is an lpcore.loss_lp.
+value.  The factorization reported is derived from the best resource
+partition, which alternating updates cannot improve on; finding the
+globally optimal factorization is left open.  Every LP here is an
+lpcore.loss_lp.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lpcore, model, partition
-from .errors import InstanceError, NumericalFailure
+from .errors import InstanceError
 
 REPRESENT_TOL = 1e-9
 # slack of the elementwise cover check: (1 + s)^2 <= 1 + REPRESENT_TOL
@@ -110,52 +111,15 @@ def factor_loss(instance_norm: model.NormalizedInstance, A,
                         tuple(warnings))
 
 
-def _row_update(w, R):
-    """Per operation: cheapest nonnegative cost row with A_i @ R >= w'_i,
-    read off the dual of max w'_i @ y s.t. R y <= 1, y >= 0."""
-    A = np.zeros((w.shape[0], R.shape[0]))
-    for i in range(w.shape[0]):
-        sol = lpcore.loss_lp(w[i], R.T)
-        if not np.isfinite(sol.alpha):
-            raise NumericalFailure("row update LP is unbounded")
-        A[i] = sol.y
-    return A
-
-
-def _col_update(w, A, R_prev):
-    """Per resource: lightest column with A @ R_j >= w'_j and sum <= 1, off
-    the dual of max (w'_j, -1) @ (y, t) s.t. A^T y - t 1 <= 1; keeps the
-    previous column where none exists (that dual is unbounded)."""
-    R = R_prev.copy()
-    M = np.vstack([A, -np.ones(A.shape[1])])
-    for j in range(w.shape[1]):
-        sol = lpcore.loss_lp(np.append(w[:, j], -1.0), M)
-        if np.isfinite(sol.alpha):
-            R[:, j] = sol.y
-    return R
-
-
 def alternating_factorization(instance_norm: model.NormalizedInstance,
-                              k: int, max_rounds: int = 20) -> FactorReport:
-    """Improve the partition-derived factorization by alternating
-    per-operation-row and per-resource-column LPs; the best iterate by
-    loss is kept, so the result is never worse than the initialization."""
+                              k: int) -> FactorReport:
+    """The partition-derived factorization, with k clamped to 1..n.  No
+    alternating round runs: given the group-indicator R, the row update's
+    unique optimum is A_il = max over group l of w'_ij, the partition's
+    own A, and factor_loss depends only on A."""
     if k < 1:
         raise InstanceError("k must be at least 1")
-    w = instance_norm.matrix
     unit = instance_norm.as_instance()
-    k = min(k, w.shape[1])
-    fact = partition_to_factorization(
-        unit, partition.best_partition(unit, k))
-    A, R = fact.A, fact.R
-
-    best = factor_loss(instance_norm, A, R)
-    for _ in range(max_rounds):
-        A = _row_update(w, R)
-        R = _col_update(w, A, R)
-        report = factor_loss(instance_norm, A, R)
-        if report.alpha < best.alpha - 1e-9:
-            best = report
-        else:
-            break
-    return best
+    k = min(k, unit.num_resources)
+    fact = partition_to_factorization(unit, partition.best_partition(unit, k))
+    return factor_loss(instance_norm, fact.A, fact.R)

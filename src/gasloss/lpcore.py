@@ -1,14 +1,14 @@
 """Dense LP and zero-sum matrix game engine.
 
-A two-phase tableau simplex with a largest-coefficient pivot rule and a
+A tableau simplex with a largest-coefficient pivot rule and a
 Bland's-rule fallback once a budget of degenerate pivots is exhausted.
-Phase 1 starts from the slack basis: a "<=" row with b >= 0 starts on its
-own slack, so only "==" rows and sign-flipped rows carry an artificial,
-and an LP with none of those leaves phase 1 at once.  An "optimal" answer
-is checked to be finite, nonnegative and feasible to a tolerance scaled
-by the data, or NumericalFailure is raised.  Problem sizes in this
-package are tiny (at most a few hundred variables), so a dense tableau
-is the right tool.
+An LP with only "<=" rows and b >= 0 (every production LP) starts in
+phase 2 at its slack basis; its dual u, read off the slack columns, must
+satisfy u >= 0, A^T u >= c and b @ u = c @ x.  Other LPs run phase 1,
+with an artificial only on "==" and sign-flipped rows.  An "optimal" x
+must be finite, nonnegative and feasible; each check allows a tolerance
+scaled by the data, and a failure raises NumericalFailure.  Problems
+here are tiny (a few hundred variables at most): a dense tableau fits.
 
 loss_lp, max a @ x s.t. M^T x <= 1, solves a zero-sum game u = M / a
 through its primal and dual; solve_zero_sum solves the game directly.
@@ -104,7 +104,7 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _run_simplex(T, basis, allowed):
+def _run_simplex(T, basis):
     """Minimize the objective encoded in the last tableau row.
 
     T has shape (m+1, n+1): m constraint rows, reduced-cost row last,
@@ -116,14 +116,13 @@ def _run_simplex(T, basis, allowed):
     for _ in range(MAX_ITERATIONS):
         red = T[-1, :-1]
         if use_bland:
-            candidates = np.flatnonzero(allowed & (red < -PIVOT_TOL))
+            candidates = np.flatnonzero(red < -PIVOT_TOL)
             if candidates.size == 0:
                 return "optimal"
             col = candidates[0]
         else:
-            masked = np.where(allowed, red, np.inf)
-            col = int(np.argmin(masked))
-            if masked[col] >= -FEAS_TOL:
+            col = int(np.argmin(red))
+            if red[col] >= -FEAS_TOL:
                 return "optimal"
         column = T[:m, col]
         rows = np.flatnonzero(column > PIVOT_TOL)
@@ -152,11 +151,37 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     data (NumericalFailure otherwise), and the dual closes the
     strong-duality gap.
     """
-    c = lp.objective.copy()
-    if lp.maximize:
-        c = -c
-    a = lp.matrix
-    b = lp.bounds
+    if set(lp.senses) <= {"<="} and np.all(lp.bounds >= 0):
+        return _solve_from_slack_basis(lp)
+    return _solve_two_phase(lp)
+
+
+def _solve_from_slack_basis(lp: LinearProgram) -> LPResult:
+    """One simplex pass from the slack basis of A x <= b, b >= 0: the
+    tableau and pivots of _solve_two_phase's phase 2, with the dual read
+    off the slack columns' reduced costs and certified by _checked."""
+    a, b = lp.matrix, lp.bounds
+    m, n = a.shape
+    ceq = np.zeros(n + m)
+    ceq[:n] = -lp.objective if lp.maximize else lp.objective
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = a
+    T[:m, n:-1] = np.eye(m)
+    T[:m, -1] = b
+    T[-1, :-1] = ceq
+    basis = n + np.arange(m)
+    if _run_simplex(T, basis) == "unbounded":
+        return _nan_result("unbounded", n, m)
+    x_full = np.zeros(n + m)
+    x_full[basis] = T[:m, -1]
+    return _checked(lp, x_full[:n], -T[-1, n:-1], float(ceq @ x_full),
+                    False, certify_dual=True)
+
+
+def _solve_two_phase(lp: LinearProgram) -> LPResult:
+    """Phase 1 from the slack basis plus artificials for "==" and
+    negative-bound rows, then phase 2; duals from the final basis."""
+    a, b = lp.matrix, lp.bounds
     m, n = a.shape
 
     # Equality standard form: slacks for "<=" rows, then make b >= 0.
@@ -167,7 +192,8 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     basis[slack_rows] = n + np.arange(n_slack)
     aeq = np.hstack([a, np.zeros((m, n_slack))])
     aeq[slack_rows, basis[slack_rows]] = 1.0
-    ceq = np.concatenate([c, np.zeros(n_slack)])
+    ceq = np.concatenate([-lp.objective if lp.maximize else lp.objective,
+                          np.zeros(n_slack)])
     flipped = b < 0
     aeq[flipped] *= -1.0
     b = np.where(flipped, -b, b)
@@ -184,11 +210,8 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     T[:m, -1] = b
     T[-1, n_real:-1] = 1.0
     T[-1] -= T[art_rows].sum(axis=0)
-    status = _run_simplex(T, basis, np.ones(n_real + n_art, dtype=bool))
-    phase1 = -T[-1, -1]
-    if status != "optimal" or phase1 > 1e-7:
-        return LPResult("infeasible", np.nan, np.full(n, np.nan),
-                        np.full(m, np.nan))
+    if _run_simplex(T, basis) != "optimal" or -T[-1, -1] > 1e-7:
+        return _nan_result("infeasible", n, m)
 
     # Drive remaining artificials out of the basis; drop redundant rows.
     keep_rows = np.ones(m, dtype=bool)
@@ -201,43 +224,56 @@ def solve_lp(lp: LinearProgram) -> LPResult:
                 keep_rows[r] = False
 
     rows_idx = np.flatnonzero(keep_rows)
-    T2 = np.zeros((rows_idx.size + 1, n_real + 1))
-    T2[:-1, :n_real] = T[rows_idx, :n_real]
-    T2[:-1, -1] = T[rows_idx, -1]
-    basis2 = basis[rows_idx].copy()
-    T2[-1, :n_real] = ceq
+    basis2 = basis[rows_idx]
+    T2 = np.vstack([T[rows_idx][:, np.r_[:n_real, -1]], np.append(ceq, 0.0)])
     for r, bv in enumerate(basis2):
         coeff = T2[-1, bv]
         if abs(coeff) > 0.0:
             T2[-1] -= coeff * T2[r]
-    status = _run_simplex(T2, basis2, np.ones(n_real, dtype=bool))
-    if status == "unbounded":
-        return LPResult("unbounded", np.nan, np.full(n, np.nan),
-                        np.full(m, np.nan))
-
+    if _run_simplex(T2, basis2) == "unbounded":
+        return _nan_result("unbounded", n, m)
     x_full = np.zeros(n_real)
     x_full[basis2] = T2[:-1, -1]
-    x = x_full[:n]
-    value = float(ceq @ x_full)
 
     # Duals from the final basis: y solves B^T y = c_B over kept rows.
     y = np.zeros(m)
     if rows_idx.size:
         bmat = aeq[np.ix_(rows_idx, basis2)]
         try:
-            y_kept = np.linalg.solve(bmat.T, ceq[basis2])
+            y[rows_idx] = np.linalg.solve(bmat.T, ceq[basis2])
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("singular basis in dual recovery") from exc
-        y[rows_idx] = y_kept
     y = np.where(flipped, -y, y)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    return _checked(lp, x_full[:n], y, float(ceq @ x_full), ~is_slack)
+
+
+def _nan_result(status, n, m) -> LPResult:
+    return LPResult(status, np.nan, np.full(n, np.nan), np.full(m, np.nan))
+
+
+def _checked(lp, x, y, value, eq_rows, certify_dual=False) -> LPResult:
+    """The "optimal" result from x and the minimization form's value and
+    dual y, once x is finite, nonnegative and feasible and y is finite;
+    with certify_dual, once also u = -y >= 0, A^T u >= c and b @ u = c @ x.
+    Every check allows FEAS_TOL scaled by the data."""
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise NumericalFailure("LP solution is not finite")
-    scale = np.abs(a).max(initial=0.0) * np.abs(x).max(initial=1.0)
-    tol = FEAS_TOL * (1 + scale + np.abs(b).max(initial=0.0))
-    resid = a @ x - lp.bounds
-    resid = np.where(is_slack, resid, np.abs(resid))
+    a, b = lp.matrix, lp.bounds
+    a_max, b_max, x_max = (np.abs(v).max(initial=0.0) for v in (a, b, x))
+    tol = FEAS_TOL * (1 + a_max * max(x_max, 1.0) + b_max)
+    resid = a @ x - b
+    resid = np.where(eq_rows, np.abs(resid), resid)
     if not (x.min(initial=0.0) >= -tol and resid.max(initial=0.0) <= tol):
         raise NumericalFailure("LP solution fails its feasibility check")
+    if certify_dual:
+        u, c = -y, (lp.objective if lp.maximize else -lp.objective)
+        u_max, c_max = np.abs(u).max(initial=0.0), np.abs(c).max(initial=0.0)
+        tol_dual = FEAS_TOL * (1 + a_max * u_max + c_max)
+        tol_gap = FEAS_TOL * (1 + b_max * u_max + c_max * x_max)
+        if not (u.min(initial=0.0) >= -tol_dual
+                and (a.T @ u - c).min(initial=0.0) >= -tol_dual
+                and abs(b @ u - c @ x) <= tol_gap):
+            raise NumericalFailure("LP dual fails its optimality certificate")
     if lp.maximize:
         return LPResult("optimal", -value, x, -y)
     return LPResult("optimal", value, x, y)
@@ -245,7 +281,7 @@ def solve_lp(lp: LinearProgram) -> LPResult:
 
 def loss_lp(a, M) -> LossSolution:
     """max a @ x s.t. M^T x <= 1, x >= 0, the LP form of every loss here;
-    its slack basis is feasible, so phase 1 does no work."""
+    its slack basis is feasible, so solve_lp starts it in phase 2."""
     n = np.shape(M)[1]
     lp = LinearProgram(a, np.transpose(M), np.ones(n), ("<=",) * n,
                        maximize=True)

@@ -39,3 +39,17 @@ def lp_calls(monkeypatch):
 
     monkeypatch.setattr(lpcore, "loss_lp", count)
     return calls
+
+
+@pytest.fixture
+def simplex_passes(monkeypatch):
+    """One entry per lpcore._run_simplex call made during the test."""
+    passes = []
+    simplex = lpcore._run_simplex
+
+    def count(T, basis):
+        passes.append(1)
+        return simplex(T, basis)
+
+    monkeypatch.setattr(lpcore, "_run_simplex", count)
+    return passes

@@ -125,6 +125,25 @@ class TestApprox:
         assert "unpriced" in err
 
 
+    def test_tie_instance_witness_is_pinned(self, capsys, tmp_path):
+        # two pairs of identical operations, so four blocks of gas 2 tie;
+        # a change to the LP kernel must not move the one reported
+        path = tmp_path / "tie.json"
+        path.write_text(json.dumps({
+            "resources": [{"name": "r1", "capacity": 1},
+                          {"name": "r2", "capacity": 1}],
+            "operations": [{"name": "a", "usage": {"r2": 1}},
+                           {"name": "a_twin", "usage": {"r2": 1}},
+                           {"name": "both", "usage": {"r1": 1, "r2": 1}},
+                           {"name": "b", "usage": {"r1": 1}},
+                           {"name": "b_twin", "usage": {"r1": 1}}]}))
+        code, out, _ = run(capsys, "approx", str(path), "--json")
+        assert code == 0
+        answer = json.loads(out)
+        assert answer["alpha"] == 2.0
+        assert answer["witness_block"] == [1.0, 0.0, 0.0, 1.0, 0.0]
+
+
 class TestPartition:
     def test_ecp_fixture(self, capsys, tmp_path):
         path = tmp_path / "ecp.json"
@@ -179,9 +198,39 @@ class TestFactorize:
 
     def test_table1_alternate(self, capsys, table1_path):
         code, out, _ = run(capsys, "factorize", table1_path, "--k", "2",
-                           "--mode", "alternate", "--rounds", "10")
+                           "--mode", "alternate")
         assert code == 0
         assert json_alpha(out) <= 1.0 + 1e-9
+
+
+    def test_k_above_resource_count(self, capsys, table1_path):
+        code, out, err = run(capsys, "factorize", table1_path, "--k", "5")
+        assert code == 2
+        assert out == "" and "error:" in err
+        code, out, _ = run(capsys, "factorize", table1_path, "--k", "5",
+                           "--mode", "alternate", "--json")
+        assert code == 0
+        assert json.loads(out)["k"] == 2
+
+    def test_alternate_equals_from_partition(self, capsys, tmp_path):
+        docs = {name: formats.preset_doc(name)
+                for name in ("table1", "table3", "figure1")}
+        docs["r30x8"] = formats.random_instance_doc(30, 8, 0.5, 0)
+        docs["r60x8"] = formats.random_instance_doc(60, 8, 0.5, 1)
+        for name, doc in docs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(formats.serialize_instance(doc))
+            for k in range(1, min(3, len(doc.resources)) + 1):
+                answers = []
+                for mode in ("from-partition", "alternate"):
+                    code, out, _ = run(capsys, "factorize", str(path),
+                                       "--k", str(k), "--mode", mode,
+                                       "--json")
+                    assert code == 0
+                    answer = json.loads(out)
+                    assert answer.pop("mode") == mode
+                    answers.append(answer)
+                assert answers[0] == answers[1], (name, k)
 
 
 def json_alpha(text):

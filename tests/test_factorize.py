@@ -19,21 +19,6 @@ def per_dimension_oracle(norm, A, ell):
     return float(res.value)
 
 
-def row_update_reference(w_i, R):
-    """The primal row update: min 1 @ a s.t. R^T a >= w'_i, a >= 0."""
-    k, n = R.shape
-    return lpcore.solve_lp(lpcore.LinearProgram(
-        np.ones(k), -R.T, -w_i, ("<=",) * n))
-
-
-def col_update_reference(w_j, A):
-    """The primal column update: min 1 @ r s.t. A r >= w'_j, 1 @ r <= 1."""
-    m, k = A.shape
-    return lpcore.solve_lp(lpcore.LinearProgram(
-        np.ones(k), np.vstack([-A, np.ones(k)]),
-        np.append(-w_j, 1.0), ("<=",) * (m + 1)))
-
-
 def all_two_partitions(n):
     for size in range(1, n // 2 + 1):
         for combo in itertools.combinations(range(1, n), size - 1):
@@ -162,11 +147,11 @@ class TestCoverCheck:
         for inst, k in cases:
             factorize.alternating_factorization(
                 model.normalize(inst), min(k, inst.num_resources))
-        # the initial pair and at least one alternating round per case
-        assert len(calls) >= 2 * len(cases)
+        # the partition-derived pair, and no alternating round, per case
+        assert len(calls) == len(cases)
         for norm, A, R in calls:
             w = norm.matrix
-            # every pair the alternation evaluates covers W'
+            # every pair the factorization evaluates covers W'
             assert factorize._covers(w, A, R)
             assert factorize.kdim_represents(norm, A)
             # a cover of a scaled-down measure fails, and so does A itself
@@ -175,8 +160,7 @@ class TestCoverCheck:
 
     def test_non_covering_column_falls_back_to_the_lps(self, monkeypatch,
                                                        table1):
-        # a column the cover does not reach, as _col_update keeps from
-        # R_prev when its LP has no solution; A itself still represents
+        # a column the cover does not reach; A itself still represents
         norm = model.normalize(table1)
         fact = factorize.partition_to_factorization(
             table1, partition.partition_loss(table1, [(0,), (1,)]))
@@ -258,12 +242,12 @@ class TestCoverCheck:
 class TestAlternating:
     def test_k1_cannot_beat_minimal_measure(self, table1):
         norm = model.normalize(table1)
-        report = factorize.alternating_factorization(norm, 1, max_rounds=10)
+        report = factorize.alternating_factorization(norm, 1)
         assert report.alpha == pytest.approx(11 / 8, abs=1e-9)
 
     def test_k_equals_n_matches_singleton_partition(self, table1):
         norm = model.normalize(table1)
-        report = factorize.alternating_factorization(norm, 2, max_rounds=10)
+        report = factorize.alternating_factorization(norm, 2)
         singleton_loss = partition.partition_loss(
             table1, [(0,), (1,)]).loss
         assert report.alpha <= singleton_loss + 1e-9
@@ -275,47 +259,27 @@ class TestAlternating:
                 continue
             norm = model.normalize(inst)
             exact = partition.optimal_partition_exact(inst, 2).loss
-            report = factorize.alternating_factorization(
-                norm, 2, max_rounds=10)
+            report = factorize.alternating_factorization(norm, 2)
             assert report.alpha <= exact + 1e-9
 
-
-class TestUpdates:
-    def test_row_update_matches_primal_reference(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            m, n, k = rng.integers(2, 9), rng.integers(2, 7), rng.integers(1, 4)
-            w = rng.random((m, n)) * (rng.random((m, n)) < 0.7)
-            R = rng.random((k, n))
-            A = factorize._row_update(w, R)
-            assert np.all(A >= 0)
-            assert np.all(A @ R >= w - 1e-9)
-            for i in range(m):
-                ref = row_update_reference(w[i], R)
-                assert ref.status == "optimal"
-                assert A[i].sum() == pytest.approx(ref.value, abs=1e-9)
-
-    def test_col_update_matches_primal_reference(self):
-        rng = np.random.default_rng(22)
-        for _ in range(20):
-            m, n, k = rng.integers(2, 9), rng.integers(2, 7), rng.integers(1, 4)
-            A = rng.random((m, k)) + 0.5
-            w = rng.random((m, n)) * 0.5
-            # no column r with 1 @ r <= 1 reaches this one: A r <= max A
-            w[0, -1] = 2 * A[0].max()
-            R_prev = rng.random((k, n))
-            R = factorize._col_update(w, A, R_prev)
-            for j in range(n):
-                ref = col_update_reference(w[:, j], A)
-                if j == n - 1:
-                    assert ref.status == "infeasible"
-                    assert np.array_equal(R[:, j], R_prev[:, j])
-                    continue
-                assert ref.status == "optimal"
-                assert np.all(R[:, j] >= 0)
-                assert np.all(A @ R[:, j] >= w[:, j] - 1e-9)
-                assert R[:, j].sum() <= 1 + 1e-9
-                assert R[:, j].sum() == pytest.approx(ref.value, abs=1e-9)
+    def test_row_update_reproduces_the_partition_measure(self):
+        # why no alternating round runs: given the group-indicator R, the
+        # cheapest row a >= 0 with a @ R >= w'_i is row i of the
+        # partition's own A, so a row update cannot change the measure
+        for inst in bench_style_instances():
+            norm = model.normalize(inst)
+            for k in (2, 3):
+                fact = factorize.partition_to_factorization(
+                    inst, partition.best_partition(inst, k))
+                n = inst.num_resources
+                for w_i, a_i in zip(norm.matrix, fact.A):
+                    res = lpcore.solve_lp(lpcore.LinearProgram(
+                        np.ones(k), -fact.R.T, -w_i, ("<=",) * n))
+                    assert res.status == "optimal"
+                    assert np.allclose(res.x, a_i, rtol=1e-12, atol=1e-15)
+                report = factorize.alternating_factorization(norm, k)
+                assert np.array_equal(report.factorization.A, fact.A)
+                assert np.array_equal(report.factorization.R, fact.R)
 
 
 class TestSoundness:

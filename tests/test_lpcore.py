@@ -149,15 +149,19 @@ class TestSolveLP:
 
 class TestProductionLPs:
     def test_every_production_lp_is_slack_feasible(self, monkeypatch,
-                                                    table1):
+                                                    table1, simplex_passes):
         # only "<=" rows with b >= 0, so phase 1 never runs outside the
-        # general LinearProgram API and the game-form oracle
-        recorded = []
+        # general LinearProgram API and the game-form oracle: each LP is
+        # one simplex pass from its slack basis
+        recorded, recorded_passes = [], []
         solve = lpcore.solve_lp
 
         def record(lp):
             recorded.append(lp)
-            return solve(lp)
+            before = len(simplex_passes)
+            result = solve(lp)
+            recorded_passes.append(len(simplex_passes) - before)
+            return result
 
         monkeypatch.setattr(lpcore, "solve_lp", record)
         caches = []
@@ -187,6 +191,7 @@ class TestProductionLPs:
             ]
             for t, run in enumerate(runs):
                 recorded.clear()
+                recorded_passes.clear()
                 caches.clear()
                 run()
                 if t in (1, 2):
@@ -203,6 +208,86 @@ class TestProductionLPs:
                 for lp in recorded:
                     assert set(lp.senses) == {"<="}
                     assert np.all(lp.bounds >= 0)
+                assert recorded_passes == [1] * len(recorded)
+
+
+def _scaled_loss_instance(seed, twin_row, twin_col):
+    """A random instance whose usage entries span 1e-6..1e6: a sparse
+    0.5..1.5 pattern times operation and resource scales in 1e-3..1e3,
+    with the first operation or resource optionally duplicated."""
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(1, 9), rng.integers(1, 6)
+    w = rng.random((m, n)) * (rng.random((m, n)) < 0.6)
+    w[np.arange(m), rng.integers(0, n, m)] += 0.5
+    w *= 10.0 ** rng.uniform(-3, 3, (m, 1)) * 10.0 ** rng.uniform(-3, 3, n)
+    if twin_row:
+        w = np.vstack([w, w[:1]])
+    if twin_col:
+        w = np.hstack([w, w[:, :1]])
+    m, n = w.shape
+    return model.instance_from_arrays(
+        [f"op{i}" for i in range(m)], [f"r{j}" for j in range(n)], w,
+        10.0 ** rng.uniform(-1, 1, n))
+
+
+def _loss_program(instance):
+    g = model.minimal_gas_measure(instance).costs
+    n = instance.num_resources
+    return LinearProgram(g, instance.normalized_usage.T, np.ones(n),
+                         ("<=",) * n, maximize=True)
+
+
+class TestSlackBasisPath:
+    @given(seed=st.integers(min_value=0, max_value=10**6),
+           twin_row=st.booleans(), twin_col=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_phase_1_and_the_oracle(self, seed, twin_row, twin_col):
+        inst = _scaled_loss_instance(seed, twin_row, twin_col)
+        lp = _loss_program(inst)
+        res = lpcore.solve_lp(lp)
+        ref = lpcore._solve_two_phase(lp)
+        assert res.status == ref.status == "optimal"
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert res.value == ref.value
+        # the game oracle runs phase 1 and is accurate to about 1e-9
+        # relative (once 1.9e-9, in 10,000 generated instances)
+        assert res.value == pytest.approx(
+            approx.approximability_oracle(inst), rel=1e-8)
+        # the certificate, recomputed: y >= 0, M y >= g, 1 @ y = g @ x
+        M, g, y = inst.normalized_usage, lp.objective, res.y
+        tol = 1e-9 * (1 + np.abs(M).max() * np.abs(y).max() + g.max())
+        assert y.min() >= -tol
+        assert np.all(M @ y >= g - tol)
+        assert abs(y.sum() - g @ res.x) <= tol * (1 + np.abs(res.x).max())
+        assert np.allclose(y, ref.y, rtol=1e-9, atol=tol)
+
+    @pytest.mark.parametrize("scale", [0.5, 0.0])
+    def test_corrupted_objective_row_is_refused(self, monkeypatch, table1,
+                                                scale):
+        # reduced costs halved or zeroed after an optimal pass: the dual
+        # read off them must be refused, not reported as "optimal"
+        simplex = lpcore._run_simplex
+
+        def corrupted(T, basis):
+            status = simplex(T, basis)
+            T[-1, :-1] *= scale
+            return status
+
+        monkeypatch.setattr(lpcore, "_run_simplex", corrupted)
+        with pytest.raises(NumericalFailure, match="certificate"):
+            approx.approximability(table1)
+
+    @pytest.mark.parametrize("matrix, bounds, senses", [
+        ([[1, 1], [1, 0]], [1.0, 0.5], ("<=", "==")),
+        ([[1, 1], [-1, 0]], [1.0, -0.5], ("<=", "<=")),
+    ])
+    def test_other_programs_keep_phase_1(self, simplex_passes, matrix,
+                                         bounds, senses):
+        # an "==" row or a negative bound needs an artificial: two passes
+        res = lpcore.solve_lp(LinearProgram([1.0, 2.0], matrix, bounds,
+                                            senses, maximize=True))
+        assert res.value == pytest.approx(1.5)
+        assert len(simplex_passes) == 2
 
 
 class TestZeroSum:
