@@ -64,7 +64,9 @@ def approximability(instance: model.ResourceInstance,
 
 def approximability_oracle(instance: model.ResourceInstance) -> float:
     """The loss as the reciprocal of the game value, by the zero-sum game
-    solver: a formulation independent of approximability's LP."""
+    solver.  Its LP is over the shifted game U + 1 - min U, not
+    approximability's LP with its variables rescaled, so the two answers
+    check each other."""
     game = lpcore.solve_zero_sum(build_game(instance).entries,
                                  row_minimizes=True)
     if game.value <= 0:

@@ -157,7 +157,7 @@ def _load_mapping(path, instance):
     out = np.zeros(instance.num_operations)
     for i, name in enumerate(instance.operation_names):
         try:
-            value = float(doc.get(name, 0.0))
+            value = model._number(doc.get(name, 0.0))
         except (TypeError, ValueError) as exc:
             raise InstanceError(
                 f"non-numeric weight for operation {name!r}") from exc

@@ -96,7 +96,7 @@ def hist_loss_range(instance: model.ResourceInstance, f_low,
     bounds = np.zeros(rows.shape[0])
     bounds[:n] = 1.0
     res = lpcore.solve_lp(lpcore.LinearProgram(
-        np.ones(m), rows, bounds, ("<=",) * rows.shape[0], maximize=True))
+        np.ones(m), rows, bounds, maximize=True))
     if res.status != "optimal" or res.value <= 0:
         raise NumericalFailure("range minimax: no feasible frequency found")
     s = np.maximum(res.x, 0.0)

@@ -2,6 +2,7 @@
 brute-force oracles kept deliberately separate from the library code."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -44,6 +45,50 @@ def dual_vertex_oracle(weights, bounds, objective):
         if all(a @ y >= b - 1e-9 for a, b in rows):
             best = min(best, float(B @ y))
     return best
+
+
+def exact_vertex_oracle(weights, bounds, objective):
+    """Exact rational oracle for max objective @ x s.t. weights^T x <=
+    bounds, x >= 0, for any number of resources.
+
+    Reads every float as the exact fraction it stores and enumerates the
+    vertices of the dual min bounds @ y s.t. weights y >= objective,
+    y >= 0 in rational arithmetic; returns the optimum as a Fraction.
+    """
+    W = [[Fraction(float(v)) for v in row] for row in np.atleast_2d(weights)]
+    B = [Fraction(float(v)) for v in bounds]
+    c = [Fraction(float(v)) for v in objective]
+    n = len(B)
+    rows = list(zip(W, c)) + [
+        ([Fraction(int(k == j)) for k in range(n)], Fraction(0))
+        for j in range(n)]
+    best = None
+    for chosen in itertools.combinations(rows, n):
+        y = _solve_exact([a for a, _ in chosen], [b for _, b in chosen])
+        if y is None or any(sum(map(Fraction.__mul__, a, y)) < b
+                            for a, b in rows):
+            continue
+        value = sum(map(Fraction.__mul__, B, y))
+        if best is None or value < best:
+            best = value
+    return best
+
+
+def _solve_exact(A, b):
+    """The solution of the square rational system A y = b, or None when
+    A is singular (Gauss-Jordan elimination)."""
+    n = len(b)
+    M = [list(row) + [rhs] for row, rhs in zip(A, b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if pivot is None:
+            return None
+        M[col], M[pivot] = M[pivot], M[col]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col] / M[col][col]
+                M[r] = [v - f * p for v, p in zip(M[r], M[col])]
+    return [M[r][n] / M[r][r] for r in range(n)]
 
 
 def feasible_region_gas_max(instance):

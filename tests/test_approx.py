@@ -1,8 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gasloss import approx, formats, lpcore, model
-from helpers import feasible_region_gas_max, random_instance
+from helpers import (exact_vertex_oracle, feasible_region_gas_max,
+                     random_instance)
+
+
+def _scaled_pair(seed, elementwise):
+    """A random instance of 1-6 operations x 1-3 resources, and a copy
+    whose usage is scaled by 10^U(-6, 6) per operation row, or per entry
+    when elementwise."""
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(1, 7), rng.integers(1, 4)
+    w = rng.random((m, n)) * (rng.random((m, n)) < 0.6)
+    w[np.arange(m), rng.integers(0, n, m)] += 0.5
+    scale = 10.0 ** rng.uniform(-6, 6, (m, n) if elementwise else (m, 1))
+    caps = 10.0 ** rng.uniform(-1, 1, n)
+    ops, res = [f"op{i}" for i in range(m)], [f"r{j}" for j in range(n)]
+    return (model.instance_from_arrays(ops, res, w, caps),
+            model.instance_from_arrays(ops, res, w * scale, caps))
 
 
 class TestBuildGame:
@@ -78,6 +96,27 @@ class TestOracle:
         assert lower == pytest.approx(rep.alpha, rel=1e-9)
         assert upper == pytest.approx(rep.alpha, rel=1e-9)
         assert rep.oracle_alpha == pytest.approx(rep.alpha, rel=1e-9)
+
+
+class TestOracleUnderScaling:
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_row_scaling_leaves_alpha_unchanged(self, seed):
+        inst, scaled = _scaled_pair(seed, elementwise=False)
+        assert approx.approximability_oracle(scaled) == pytest.approx(
+            approx.approximability_oracle(inst), rel=1e-9)
+
+    # a solver fault that shows on about 1% of such instances must still
+    # show here, hence 300 examples
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_elementwise_scaling_matches_exact_alpha(self, seed):
+        _, scaled = _scaled_pair(seed, elementwise=True)
+        g = model.minimal_gas_measure(scaled).costs
+        exact = exact_vertex_oracle(scaled.normalized_usage,
+                                    np.ones(scaled.num_resources), g)
+        assert approx.approximability_oracle(scaled) == pytest.approx(
+            float(exact), rel=1e-8)
 
 
 class TestProperties:

@@ -278,7 +278,8 @@ class TestHist:
 
     @pytest.mark.parametrize("weight, problem", [
         ("NaN", "non-finite"), ("Infinity", "non-finite"),
-        ("null", "non-numeric"), ('"abc"', "non-numeric")])
+        ("null", "non-numeric"), ('"abc"', "non-numeric"),
+        ("true", "non-numeric"), ('"0.5"', "non-numeric")])
     def test_bad_frequency_weight_exits_2(self, capsys, table1_path,
                                           tmp_path, weight, problem):
         f = tmp_path / "f.json"
@@ -289,7 +290,8 @@ class TestHist:
         assert f"error: {problem} weight for operation 'Op1'" in err
 
     @pytest.mark.parametrize("side, weight", [
-        ("low", "NaN"), ("high", "Infinity"), ("low", "null")])
+        ("low", "NaN"), ("high", "Infinity"), ("low", "null"),
+        ("high", "true"), ("low", '"0.5"')])
     def test_bad_bound_weight_exits_2(self, capsys, table1_path, tmp_path,
                                       side, weight):
         bounds = {"low": "{}", "high": '{"Op1": 1, "Op2": 1, "Op3": 1}'}

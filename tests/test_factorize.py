@@ -13,7 +13,7 @@ def per_dimension_oracle(norm, A, ell):
     feasible block."""
     n = norm.matrix.shape[1]
     lp = lpcore.LinearProgram(
-        A[:, ell], norm.matrix.T, np.ones(n), ("<=",) * n, maximize=True)
+        A[:, ell], norm.matrix.T, np.ones(n), maximize=True)
     res = lpcore.solve_lp(lp)
     assert res.status == "optimal"
     return float(res.value)
@@ -265,18 +265,18 @@ class TestAlternating:
     def test_row_update_reproduces_the_partition_measure(self):
         # why no alternating round runs: given the group-indicator R, the
         # cheapest row a >= 0 with a @ R >= w'_i is row i of the
-        # partition's own A, so a row update cannot change the measure
+        # partition's own A, so a row update cannot change the measure;
+        # that row is the dual of max w'_i @ y s.t. R y <= 1
         for inst in bench_style_instances():
             norm = model.normalize(inst)
             for k in (2, 3):
                 fact = factorize.partition_to_factorization(
                     inst, partition.best_partition(inst, k))
-                n = inst.num_resources
                 for w_i, a_i in zip(norm.matrix, fact.A):
                     res = lpcore.solve_lp(lpcore.LinearProgram(
-                        np.ones(k), -fact.R.T, -w_i, ("<=",) * n))
+                        w_i, fact.R, np.ones(k), maximize=True))
                     assert res.status == "optimal"
-                    assert np.allclose(res.x, a_i, rtol=1e-12, atol=1e-15)
+                    assert np.allclose(res.y, a_i, rtol=1e-12, atol=1e-15)
                 report = factorize.alternating_factorization(norm, k)
                 assert np.array_equal(report.factorization.A, fact.A)
                 assert np.array_equal(report.factorization.R, fact.R)

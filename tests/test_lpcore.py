@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasloss import approx, factorize, formats, hist, lpcore, model, partition
+from gasloss import approx, factorize, hist, lpcore, model, partition
 from gasloss.errors import NumericalFailure
 from gasloss.lpcore import GameSolution, LinearProgram
 from helpers import random_instance
@@ -16,143 +16,81 @@ def _random_solvable_lp(rng, n, m):
     a = np.vstack([a, np.ones(n)])      # keeps the program bounded
     b = np.concatenate([b, [10.0]])
     c = rng.random(n)
-    return LinearProgram(c, a, b, ("<=",) * (m + 1), maximize=True)
-
-
-def _random_mixed_lp(rng, n, m):
-    """Bounded feasible maximization around a known point x0 >= 0 that
-    mixes "<=" rows with b >= 0, "<=" rows with b < 0 and "==" rows."""
-    x0 = 0.1 + rng.random(n)
-    kinds = rng.integers(0, 3, size=m)
-    a = rng.random((m, n))
-    a[kinds == 1] *= -1.0
-    ax0 = a @ x0
-    b = np.select([kinds == 0, kinds == 1],
-                  [ax0 + 0.1 * rng.random(m), ax0 / 2], ax0)
-    senses = tuple("==" if k == 2 else "<=" for k in kinds)
-    a = np.vstack([a, np.ones(n)])      # keeps the program bounded
-    b = np.concatenate([b, [10.0]])
-    return LinearProgram(rng.normal(size=n), a, b, senses + ("<=",),
-                         maximize=True)
-
-
-def _equality_form_range_lp(m, n, seed):
-    """min v s.t. s.U_j <= v, sum s = 1, t z_low <= s <= t z_high,
-    s.(1/g) = t over a box [f/2, min(2f, 1)] around a Dirichlet mix f:
-    a Charnes-Cooper range LP written with two equality rows."""
-    inst = formats.random_instance_doc(m, n, 0.5, seed).to_instance()
-    f = np.random.default_rng(seed).dirichlet(np.ones(m))
-    g = model.minimal_gas_measure(inst).costs
-    U = approx.build_game(inst).entries
-    z_low, z_high = f / 2 * g, np.minimum(2 * f, 1) * g
-    eye = np.eye(m)
-    # variables s (m), t, v
-    a = np.vstack([
-        np.hstack([U.T, np.zeros((n, 1)), -np.ones((n, 1))]),
-        np.concatenate([np.ones(m), [0.0, 0.0]]),
-        np.hstack([-eye, z_low[:, None], np.zeros((m, 1))]),
-        np.hstack([eye, -z_high[:, None], np.zeros((m, 1))]),
-        np.concatenate([1.0 / g, [-1.0, 0.0]]),
-    ])
-    b = np.zeros(a.shape[0])
-    b[n] = 1.0
-    senses = ("<=",) * n + ("==",) + ("<=",) * (2 * m) + ("==",)
-    c = np.zeros(m + 2)
-    c[-1] = 1.0
-    return LinearProgram(c, a, b, senses)
+    return LinearProgram(c, a, b, maximize=True)
 
 
 class TestSolveLP:
     def test_single_bound(self):
         res = lpcore.solve_lp(LinearProgram(
-            [1.0], [[1.0]], [5.0], ("<=",), maximize=True))
+            [1.0], [[1.0]], [5.0], maximize=True))
         assert res.status == "optimal"
         assert res.value == pytest.approx(5.0)
         assert res.x[0] == pytest.approx(5.0)
 
     def test_redundant_constraint(self):
         res = lpcore.solve_lp(LinearProgram(
-            [1.0, 1.0], [[1, 1], [1, 0]], [1.0, 0.3],
-            ("<=", "<="), maximize=True))
+            [1.0, 1.0], [[1, 1], [1, 0]], [1.0, 0.3], maximize=True))
         assert res.value == pytest.approx(1.0)
 
     def test_table1_gas_lp(self, table1):
         from gasloss import model
         g = model.minimal_gas_measure(table1).costs
         res = lpcore.solve_lp(LinearProgram(
-            g, table1.usage.T, table1.capacities, ("<=", "<="),
-            maximize=True))
+            g, table1.usage.T, table1.capacities, maximize=True))
         assert res.value == pytest.approx(11 / 8, abs=1e-9)
 
-    def test_infeasible(self):
-        res = lpcore.solve_lp(LinearProgram(
-            [1.0], [[1.0], [-1.0]], [1.0, -2.0], ("<=", "<=")))
-        assert res.status == "infeasible"
+    @pytest.mark.parametrize("bound", [-2.0, -0.5, np.nan])
+    def test_negative_or_nan_bound_is_refused(self, bound):
+        # x = 0 must be feasible, so that one pass from the slack basis
+        # solves the program
+        with pytest.raises(ValueError, match="bounds must be >= 0"):
+            LinearProgram([1.0, 2.0], [[1, 1], [-1, 0]], [1.0, bound],
+                          maximize=True)
 
     def test_unbounded(self):
         res = lpcore.solve_lp(LinearProgram(
-            [1.0, 0.0], [[0, 1]], [1.0], ("<=",), maximize=True))
+            [1.0, 0.0], [[0, 1]], [1.0], maximize=True))
         assert res.status == "unbounded"
-
-    def test_equality_constraint(self):
-        res = lpcore.solve_lp(LinearProgram(
-            [2.0, 1.0], [[1, 1]], [1.0], ("==",)))
-        assert res.value == pytest.approx(1.0)
-        assert res.x[1] == pytest.approx(1.0)
 
     def test_strong_duality_on_random_lps(self):
         rng = np.random.default_rng(11)
         for i in range(100):
             n = rng.integers(1, 9)
             m = rng.integers(1, 9)
-            make = _random_solvable_lp if i % 2 else _random_mixed_lp
-            lp = make(rng, n, m)
+            lp = _random_solvable_lp(rng, n, m)
+            if i % 2 == 0:
+                lp = LinearProgram(rng.normal(size=n), lp.matrix, lp.bounds)
             res = lpcore.solve_lp(lp)
             assert res.status == "optimal"
             # primal feasibility
             slack = lp.bounds - lp.matrix @ res.x
-            eq = np.array(lp.senses) == "=="
             assert np.all(res.x >= -1e-9)
             assert np.all(slack >= -1e-8)
-            assert np.all(np.abs(slack[eq]) < 1e-8)
-            # dual feasibility of max c.x: A^T y >= c, y >= 0 on "<=" rows
-            assert np.all(lp.matrix.T @ res.y >= lp.objective - 1e-8)
-            assert np.all(res.y[~eq] >= -1e-9)
+            # dual feasibility, as for max c.x: A^T u >= c, u >= 0 with
+            # u = y for a maximization and u = -y for a minimization
+            sign = 1.0 if lp.maximize else -1.0
+            assert np.all(lp.matrix.T @ (sign * res.y)
+                          >= sign * lp.objective - 1e-8)
+            assert np.all(sign * res.y >= -1e-9)
             # zero gap and complementary slackness
             dual_value = float(lp.bounds @ res.y)
             assert dual_value == pytest.approx(
                 res.value, rel=1e-8, abs=1e-8)
             assert np.all(np.abs(res.y * slack) < 1e-8)
 
-    def test_optimal_answer_is_certified(self):
-        # phase 1 loses primal feasibility on this LP; a wrong answer
-        # must be refused, never reported as "optimal"
-        lp = _equality_form_range_lp(100, 10, 100002)
-        try:
-            res = lpcore.solve_lp(lp)
-        except NumericalFailure:
-            return
-        assert res.status == "optimal"
-        assert np.all(res.x >= -1e-9)
-        resid = lp.matrix @ res.x - lp.bounds
-        eq = np.array(lp.senses) == "=="
-        assert np.all(resid[~eq] <= 1e-8)
-        assert np.all(np.abs(resid[eq]) <= 1e-8)
-
     def test_non_finite_data_is_never_optimal(self):
         for bad in (np.inf, np.nan):
-            lp = LinearProgram([1.0], [[1.0]], [bad], ("<=",), maximize=True)
             with np.errstate(all="ignore"), pytest.raises(
                     (NumericalFailure, ValueError)):
-                lpcore.solve_lp(lp)
+                lpcore.solve_lp(LinearProgram([1.0], [[1.0]], [bad],
+                                              maximize=True))
 
 
 class TestProductionLPs:
     def test_every_production_lp_is_slack_feasible(self, monkeypatch,
                                                     table1, simplex_passes):
-        # only "<=" rows with b >= 0, so phase 1 never runs outside the
-        # general LinearProgram API and the game-form oracle: each LP is
-        # one simplex pass from its slack basis
+        # every LP, the game oracle's included, is one simplex pass from
+        # its slack basis
         recorded, recorded_passes = [], []
         solve = lpcore.solve_lp
 
@@ -173,6 +111,7 @@ class TestProductionLPs:
 
         monkeypatch.setattr(partition._GroupLosses, "__init__", track)
         instances = [table1] + [random_instance(s) for s in (7, 11, 20, 23)]
+        mixed_sign = np.array([[1.0, -2.0, 0.5], [-1.5, 3.0, -0.5]])
         for inst in instances:
             norm = model.normalize(inst)
             k = min(2, inst.num_resources)
@@ -188,6 +127,8 @@ class TestProductionLPs:
                 lambda: hist.hist_loss_range(inst, np.zeros(m), np.ones(m)),
                 lambda: hist.hist_loss_range(inst, f / 2, np.minimum(2 * f, 1)),
                 lambda: model.max_block_size(inst),
+                lambda: approx.approximability_oracle(inst),
+                lambda: lpcore.solve_zero_sum(mixed_sign),
             ]
             for t, run in enumerate(runs):
                 recorded.clear()
@@ -206,7 +147,6 @@ class TestProductionLPs:
                 else:
                     assert recorded
                 for lp in recorded:
-                    assert set(lp.senses) == {"<="}
                     assert np.all(lp.bounds >= 0)
                 assert recorded_passes == [1] * len(recorded)
 
@@ -234,7 +174,7 @@ def _loss_program(instance):
     g = model.minimal_gas_measure(instance).costs
     n = instance.num_resources
     return LinearProgram(g, instance.normalized_usage.T, np.ones(n),
-                         ("<=",) * n, maximize=True)
+                         maximize=True)
 
 
 class TestSlackBasisPath:
@@ -245,12 +185,7 @@ class TestSlackBasisPath:
         inst = _scaled_loss_instance(seed, twin_row, twin_col)
         lp = _loss_program(inst)
         res = lpcore.solve_lp(lp)
-        ref = lpcore._solve_two_phase(lp)
-        assert res.status == ref.status == "optimal"
-        assert res.x.tobytes() == ref.x.tobytes()
-        assert res.value == ref.value
-        # the game oracle runs phase 1 and is accurate to about 1e-9
-        # relative (once 1.9e-9, in 10,000 generated instances)
+        assert res.status == "optimal"
         assert res.value == pytest.approx(
             approx.approximability_oracle(inst), rel=1e-8)
         # the certificate, recomputed: y >= 0, M y >= g, 1 @ y = g @ x
@@ -259,7 +194,6 @@ class TestSlackBasisPath:
         assert y.min() >= -tol
         assert np.all(M @ y >= g - tol)
         assert abs(y.sum() - g @ res.x) <= tol * (1 + np.abs(res.x).max())
-        assert np.allclose(y, ref.y, rtol=1e-9, atol=tol)
 
     @pytest.mark.parametrize("scale", [0.5, 0.0])
     def test_corrupted_objective_row_is_refused(self, monkeypatch, table1,
@@ -276,18 +210,6 @@ class TestSlackBasisPath:
         monkeypatch.setattr(lpcore, "_run_simplex", corrupted)
         with pytest.raises(NumericalFailure, match="certificate"):
             approx.approximability(table1)
-
-    @pytest.mark.parametrize("matrix, bounds, senses", [
-        ([[1, 1], [1, 0]], [1.0, 0.5], ("<=", "==")),
-        ([[1, 1], [-1, 0]], [1.0, -0.5], ("<=", "<=")),
-    ])
-    def test_other_programs_keep_phase_1(self, simplex_passes, matrix,
-                                         bounds, senses):
-        # an "==" row or a negative bound needs an artificial: two passes
-        res = lpcore.solve_lp(LinearProgram([1.0, 2.0], matrix, bounds,
-                                            senses, maximize=True))
-        assert res.value == pytest.approx(1.5)
-        assert len(simplex_passes) == 2
 
 
 class TestZeroSum:
@@ -320,10 +242,8 @@ class TestZeroSum:
             m = rng.integers(1, 7)
             n = rng.integers(1, 7)
             U = rng.normal(size=(m, n))
-            row = lpcore._row_lp(U)
-            col = lpcore._column_lp(U)
-            assert row.status == col.status == "optimal"
-            assert abs(row.value - col.value) <= 2e-9
+            sol = lpcore.solve_zero_sum(U)
+            assert lpcore.verify_equilibrium(U, sol, 2e-9)
 
     @given(c=st.floats(min_value=-5, max_value=5),
            seed=st.integers(min_value=0, max_value=1000))
