@@ -26,7 +26,6 @@ from .lpcore import (
 )
 from .model import (
     GasMeasure,
-    NormalizedInstance,
     ResourceInstance,
     SizeReport,
     gas_of,
@@ -34,7 +33,6 @@ from .model import (
     is_feasible,
     max_block_size,
     minimal_gas_measure,
-    normalize,
     represents,
     validate_instance,
 )

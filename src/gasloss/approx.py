@@ -2,8 +2,8 @@
 
 The worst-case loss of the minimal gas measure g is the largest gas of
 a feasible block, max g @ x s.t. W'^T x <= 1 (lpcore.loss_lp); its
-primal and dual solve the zero-sum game between operations (minimizer)
-and resources (maximizer) with utilities u_ij = w_ij / (B_j * g_i),
+primal and dual solve the zero-sum game between operations (the
+minimizing player) and resources with utilities u_ij = w_ij / (B_j * g_i),
 whose value is 1 / alpha.  The oracle solves that game directly.
 """
 
@@ -17,13 +17,6 @@ from .errors import NumericalFailure
 
 
 @dataclass(frozen=True)
-class UtilityMatrix:
-    entries: np.ndarray
-    operation_names: tuple
-    resource_names: tuple
-
-
-@dataclass(frozen=True)
 class ApproxReport:
     alpha: float
     measure: model.GasMeasure
@@ -32,18 +25,17 @@ class ApproxReport:
     oracle_alpha: Optional[float] = None
 
 
-def build_game(instance: model.ResourceInstance) -> UtilityMatrix:
-    """Utility matrix u_ij = w_ij / (B_j * g_i) with g the minimal measure.
+def build_game(instance: model.ResourceInstance) -> np.ndarray:
+    """Read-only utility matrix u_ij = w_ij / (B_j * g_i) with g the
+    minimal measure.
 
     Every row attains 1 in the column realizing the row's max; entries
     lie in [0, 1].
     """
     g = model.minimal_gas_measure(instance).costs
     entries = instance.normalized_usage / g[:, None]
-    entries = np.asarray(entries)
     entries.setflags(write=False)
-    return UtilityMatrix(entries, instance.operation_names,
-                         instance.resource_names)
+    return entries
 
 
 def approximability(instance: model.ResourceInstance,
@@ -67,8 +59,7 @@ def approximability_oracle(instance: model.ResourceInstance) -> float:
     solver.  Its LP is over the shifted game U + 1 - min U, not
     approximability's LP with its variables rescaled, so the two answers
     check each other."""
-    game = lpcore.solve_zero_sum(build_game(instance).entries,
-                                 row_minimizes=True)
+    game = lpcore.solve_zero_sum(build_game(instance))
     if game.value <= 0:
         raise NumericalFailure("nonpositive game value")
     return 1.0 / game.value

@@ -140,13 +140,10 @@ def cmd_partition(args) -> int:
 
 def cmd_factorize(args) -> int:
     instance = _load(args)
-    norm = model.normalize(instance)
-    if args.mode == "from-partition":
-        fact = factorize.partition_to_factorization(
-            instance, partition.best_partition(instance, args.k))
-        report = factorize.factor_loss(norm, fact.A, fact.R)
-    else:
-        report = factorize.alternating_factorization(norm, args.k)
+    n = instance.num_resources
+    if args.mode == "from-partition" and not 1 <= args.k <= n:
+        raise InstanceError(f"k must be in 1..{n}")
+    report = factorize.alternating_factorization(instance, args.k)
     for line in report.warnings:
         print(f"warning: {line}", file=sys.stderr)
     fact = report.factorization

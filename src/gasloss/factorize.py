@@ -2,12 +2,13 @@
 
 A pair of nonnegative matrices (A, R) with W' <= A @ R elementwise and
 R column sums at most 1 guarantees that the k-dimensional costs A
-represent the normalized instance.  The loss of such a measure is the
-largest per-dimension loss, each the reciprocal of a zero-sum game
-value.  The factorization reported is derived from the best resource
-partition, which alternating updates cannot improve on; finding the
-globally optimal factorization is left open.  Every LP here is an
-lpcore.loss_lp.
+represent the instance (W' = W / B, the instance's normalized_usage).
+The loss of such a measure is the largest per-dimension loss, each the
+reciprocal of a zero-sum game value.  The factorization reported, in
+both CLI modes, is the one alternating_factorization derives from the
+best resource partition, which alternating updates cannot improve on;
+finding the globally optimal factorization is left open.  Every LP here
+is an lpcore.loss_lp.
 """
 
 from dataclasses import dataclass
@@ -38,11 +39,11 @@ class FactorReport:
     warnings: tuple = ()
 
 
-def kdim_represents(instance_norm: model.NormalizedInstance, A) -> bool:
+def kdim_represents(instance: model.ResourceInstance, A) -> bool:
     """True iff A-feasibility implies feasibility for every resource:
     per resource j, max {sum_i x_i w'_ij : x A-feasible} <= 1."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    w = instance_norm.matrix
+    w = instance.normalized_usage
     if A.shape[0] != w.shape[0]:
         raise InstanceError("A needs one row per operation")
     return all(lpcore.loss_lp(w[:, j], A).alpha <= 1 + REPRESENT_TOL
@@ -65,23 +66,21 @@ def _covers(w, A, R):
 
 def partition_to_factorization(instance: model.ResourceInstance,
                                plan: partition.PartitionPlan) -> Factorization:
-    """A_il = max over group l of w'_ij, R = group indicator matrix.
+    """A_il = max over group l of w'_ij (the plan's per-group measures),
+    R = group indicator matrix.
 
     Satisfies both factorization conditions by construction, so the
     resulting A is never worse than the partition it came from.
     """
-    w = instance.normalized_usage
     k = len(plan.groups)
-    A = np.zeros((w.shape[0], k))
-    R = np.zeros((k, w.shape[1]))
+    A = np.column_stack(plan.per_group_measures)
+    R = np.zeros((k, instance.num_resources))
     for ell, group in enumerate(plan.groups):
-        cols = list(group)
-        A[:, ell] = np.max(w[:, cols], axis=1)
-        R[ell, cols] = 1.0
+        R[ell, list(group)] = 1.0
     return Factorization(A, R, k)
 
 
-def factor_loss(instance_norm: model.NormalizedInstance, A,
+def factor_loss(instance: model.ResourceInstance, A,
                 R=None) -> FactorReport:
     """Loss of the k-dimensional measure A: per dimension, the game on
     u_ij = w'_ij / A_il over operations with A_il > 0; overall the
@@ -89,9 +88,9 @@ def factor_loss(instance_norm: model.NormalizedInstance, A,
     right factor R that covers W' elementwise certifies this (_covers),
     and otherwise kdim_represents decides it with its LPs."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    w = instance_norm.matrix
+    w = instance.normalized_usage
     if not (R is not None and _covers(w, A, R)
-            or kdim_represents(instance_norm, A)):
+            or kdim_represents(instance, A)):
         raise InstanceError(
             "the k-dimensional measure does not represent the instance")
     k = A.shape[1]
@@ -111,7 +110,7 @@ def factor_loss(instance_norm: model.NormalizedInstance, A,
                         tuple(warnings))
 
 
-def alternating_factorization(instance_norm: model.NormalizedInstance,
+def alternating_factorization(instance: model.ResourceInstance,
                               k: int) -> FactorReport:
     """The partition-derived factorization, with k clamped to 1..n.  No
     alternating round runs: given the group-indicator R, the row update's
@@ -119,7 +118,7 @@ def alternating_factorization(instance_norm: model.NormalizedInstance,
     own A, and factor_loss depends only on A."""
     if k < 1:
         raise InstanceError("k must be at least 1")
-    unit = instance_norm.as_instance()
-    k = min(k, unit.num_resources)
-    fact = partition_to_factorization(unit, partition.best_partition(unit, k))
-    return factor_loss(instance_norm, fact.A, fact.R)
+    k = min(k, instance.num_resources)
+    fact = partition_to_factorization(instance,
+                                      partition.best_partition(instance, k))
+    return factor_loss(instance, fact.A, fact.R)

@@ -55,7 +55,7 @@ def hist_loss(instance: model.ResourceInstance, f) -> HistReport:
     """Best reply of the resource (maximizing) player to the mix-induced
     row strategy; the reciprocal is the loss under this mix."""
     g = model.minimal_gas_measure(instance)
-    U = approx.build_game(instance).entries
+    U = approx.build_game(instance)
     return _report_for_strategy(U, f, hist_strategy(g, f))
 
 
@@ -66,7 +66,7 @@ def hist_loss_range(instance: model.ResourceInstance, f_low,
 
     With s = z / max_j (z . U_j) the payoff level is 1 / sum(s), and the
     box f_low <= f <= f_high, sum f = 1 becomes z_low * (s . 1/g) <= s <=
-    z_high * (s . 1/g); so maximize sum(s) subject to U^T s <= 1 and the
+    z_high * (s . 1/g); so the LP is max sum(s) s.t. U^T s <= 1 and the
     scaled box, all "<=" rows with right-hand side 0 or 1.
     """
     f_low = np.asarray(f_low, dtype=float)
@@ -82,7 +82,7 @@ def hist_loss_range(instance: model.ResourceInstance, f_low,
         raise InstanceError("the box does not intersect the simplex")
 
     g = model.minimal_gas_measure(instance).costs
-    U = approx.build_game(instance).entries
+    U = approx.build_game(instance)
     n = U.shape[1]
     z_low = f_low * g
     z_high = f_high * g
@@ -95,8 +95,7 @@ def hist_loss_range(instance: model.ResourceInstance, f_low,
                       np.outer(z_low[lower], 1.0 / g) - eye[lower]])
     bounds = np.zeros(rows.shape[0])
     bounds[:n] = 1.0
-    res = lpcore.solve_lp(lpcore.LinearProgram(
-        np.ones(m), rows, bounds, maximize=True))
+    res = lpcore.solve_lp(lpcore.LinearProgram(np.ones(m), rows, bounds))
     if res.status != "optimal" or res.value <= 0:
         raise NumericalFailure("range minimax: no feasible frequency found")
     s = np.maximum(res.x, 0.0)

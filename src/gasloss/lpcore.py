@@ -1,6 +1,6 @@
 """Dense LP and zero-sum matrix game engine.
 
-Every LP here is max/min c @ x s.t. A x <= b, x >= 0 with b >= 0, so its
+Every LP here is max c @ x s.t. A x <= b, x >= 0 with b >= 0, so its
 slack basis is feasible and one simplex pass from it solves the LP: a
 tableau simplex with a largest-coefficient pivot rule and a Bland's-rule
 fallback once a budget of degenerate pivots is exhausted.  Every
@@ -21,7 +21,7 @@ game coordinates), so the oracle would check nothing.
 All numeric tolerances used by the solver live here as module constants.
 """
 
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,14 +36,12 @@ MAX_ITERATIONS = 20000
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min/max objective @ x  s.t.  matrix @ x <= bounds, x >= 0, with
+    """max objective @ x  s.t.  matrix @ x <= bounds, x >= 0, with
     bounds >= 0 so that x = 0 is feasible."""
 
     objective: np.ndarray
     matrix: np.ndarray
     bounds: np.ndarray
-    _: KW_ONLY
-    maximize: bool = False
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
@@ -156,7 +154,7 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     a, b = lp.matrix, lp.bounds
     m, n = a.shape
     ceq = np.zeros(n + m)
-    ceq[:n] = -lp.objective if lp.maximize else lp.objective
+    ceq[:n] = -lp.objective     # the tableau minimizes
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = a
     T[:m, n:-1] = np.eye(m)
@@ -168,16 +166,15 @@ def solve_lp(lp: LinearProgram) -> LPResult:
                         np.full(m, np.nan))
     x_full = np.zeros(n + m)
     x_full[basis] = T[:m, -1]
-    return _checked(lp, x_full[:n], -T[-1, n:-1], float(ceq @ x_full))
+    return _checked(lp, x_full[:n], T[-1, n:-1], -float(ceq @ x_full))
 
 
-def _checked(lp, x, y, value) -> LPResult:
-    """The "optimal" result from x and the minimization form's value and
-    dual y, once x is finite, nonnegative and feasible, and u = -y is
-    finite and certifies x: u >= 0, A^T u >= c and b @ u = c @ x, with c
-    the objective as for a maximization.  Every check allows FEAS_TOL
-    scaled by the data."""
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+def _checked(lp, x, u, value) -> LPResult:
+    """The "optimal" result (value, x, u) once x is finite, nonnegative
+    and feasible, and the dual u is finite and certifies x: u >= 0,
+    A^T u >= c and b @ u = c @ x.  Every check allows FEAS_TOL scaled by
+    the data."""
+    if not (np.isfinite(x).all() and np.isfinite(u).all()):
         raise NumericalFailure("LP solution is not finite")
     a, b = lp.matrix, lp.bounds
     a_max, b_max, x_max = (np.abs(v).max(initial=0.0) for v in (a, b, x))
@@ -185,7 +182,7 @@ def _checked(lp, x, y, value) -> LPResult:
     if not (x.min(initial=0.0) >= -tol
             and (a @ x - b).max(initial=0.0) <= tol):
         raise NumericalFailure("LP solution fails its feasibility check")
-    u, c = -y, (lp.objective if lp.maximize else -lp.objective)
+    c = lp.objective
     u_max, c_max = np.abs(u).max(initial=0.0), np.abs(c).max(initial=0.0)
     tol_dual = FEAS_TOL * (1 + a_max * u_max + c_max)
     tol_gap = FEAS_TOL * (1 + b_max * u_max + c_max * x_max)
@@ -193,15 +190,13 @@ def _checked(lp, x, y, value) -> LPResult:
             and (a.T @ u - c).min(initial=0.0) >= -tol_dual
             and abs(b @ u - c @ x) <= tol_gap):
         raise NumericalFailure("LP dual fails its optimality certificate")
-    if lp.maximize:
-        return LPResult("optimal", -value, x, -y)
-    return LPResult("optimal", value, x, y)
+    return LPResult("optimal", value, x, u)
 
 
 def loss_lp(a, M) -> LossSolution:
     """max a @ x s.t. M^T x <= 1, x >= 0, the LP form of every loss here."""
     n = np.shape(M)[1]
-    lp = LinearProgram(a, np.transpose(M), np.ones(n), maximize=True)
+    lp = LinearProgram(a, np.transpose(M), np.ones(n))
     res = solve_lp(lp)
     alpha = res.value if res.status == "optimal" else np.inf
     return LossSolution(alpha, np.maximum(res.x, 0.0),
@@ -216,11 +211,11 @@ def _clean_simplex(v):
     return v
 
 
-def solve_zero_sum(U, row_minimizes: bool = True) -> GameSolution:
-    """Value and equilibrium strategies of a finite zero-sum matrix game.
+def solve_zero_sum(U) -> GameSolution:
+    """Value and equilibrium strategies of a finite zero-sum matrix game
+    whose row player minimizes.
 
-    With row_minimizes=True the value is min over row mixtures x of
-    max_j sum_i x_i U_ij.  With s = 1 - min U every entry of U + s is at
+    The value is min over row mixtures x of max_j sum_i x_i U_ij.  With s = 1 - min U every entry of U + s is at
     least 1, so max 1 @ z s.t. (U + s)^T z <= 1, z >= 0 is bounded and
     its slack basis is feasible: one solve_lp call.  The value is
     1 / sum(z) - s, the row strategy z / sum(z) and the column strategy
@@ -231,15 +226,9 @@ def solve_zero_sum(U, row_minimizes: bool = True) -> GameSolution:
     U = np.atleast_2d(np.asarray(U, dtype=float))
     if U.size == 0 or not np.all(np.isfinite(U)):
         raise ValueError("game matrix must be finite and non-empty")
-    if not row_minimizes:
-        inner = solve_zero_sum(-U, row_minimizes=True)
-        return GameSolution(-inner.value, inner.row_strategy,
-                            inner.col_strategy)
-
     m, n = U.shape
     shift = 1.0 - U.min()
-    res = solve_lp(LinearProgram(np.ones(m), (U + shift).T, np.ones(n),
-                                 maximize=True))
+    res = solve_lp(LinearProgram(np.ones(m), (U + shift).T, np.ones(n)))
     if res.status != "optimal":
         raise NumericalFailure(f"game LP ended with status {res.status}")
     sol = GameSolution(1.0 / res.value - shift, _clean_simplex(res.x),

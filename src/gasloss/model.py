@@ -52,24 +52,6 @@ class ResourceInstance:
 
 
 @dataclass(frozen=True)
-class NormalizedInstance:
-    """Usage matrix with every capacity scaled to 1 (w'_ij = w_ij / B_j)."""
-
-    operation_names: tuple
-    resource_names: tuple
-    matrix: np.ndarray
-
-    def as_instance(self) -> ResourceInstance:
-        """View with unit capacities, for reuse of instance-based analyses."""
-        return ResourceInstance(
-            self.operation_names,
-            self.resource_names,
-            self.matrix,
-            _frozen_array(np.ones(self.matrix.shape[1]), 1),
-        )
-
-
-@dataclass(frozen=True)
 class GasMeasure:
     """Per-operation nonnegative cost vector; a block is gas-feasible when
     the measure-weighted count total is at most 1."""
@@ -236,13 +218,6 @@ def validate_instance(raw, extra_excluded=()) -> ResourceInstance:
     """Validate an instance mapping (see walk_instance)."""
     resources, operations, _ = walk_instance(raw)
     return instance_from_pairs(resources, operations, extra_excluded)
-
-
-def normalize(instance: ResourceInstance) -> NormalizedInstance:
-    """Divide each usage column by its capacity."""
-    return NormalizedInstance(
-        instance.operation_names, instance.resource_names,
-        instance.normalized_usage)
 
 
 def minimal_gas_measure(instance: ResourceInstance) -> GasMeasure:

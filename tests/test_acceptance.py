@@ -58,7 +58,7 @@ def test_criterion_1_table1_minimal_measure(table1):
 
 
 def test_criterion_2_table2_game(table1):
-    U = approx.build_game(table1).entries
+    U = approx.build_game(table1)
     rep = approx.approximability(table1)
     assert rep.game.value == pytest.approx(8 / 11, abs=1e-9)
     assert rep.alpha == pytest.approx(11 / 8, abs=1e-9)
@@ -157,14 +157,13 @@ def test_criterion_7_ecp_reduction():
 
 def test_criterion_8_corollary(table1, sweep_50):
     for inst in sweep_50:
-        norm = model.normalize(inst)
         for groups in all_two_partitions(inst.num_resources):
             plan = partition.partition_loss(inst, groups)
             fact = factorize.partition_to_factorization(inst, plan)
-            report = factorize.factor_loss(norm, fact.A, fact.R)
+            report = factorize.factor_loss(inst, fact.A, fact.R)
             assert report.alpha <= plan.loss + 1e-9
     g = model.minimal_gas_measure(table1).costs
-    k1 = factorize.factor_loss(model.normalize(table1), g[:, None])
+    k1 = factorize.factor_loss(table1, g[:, None])
     assert k1.alpha == pytest.approx(
         approx.approximability(table1).alpha, abs=1e-9)
     _passed(8, "factorized loss never exceeds partition loss over every "
@@ -175,15 +174,14 @@ def test_criterion_8_corollary(table1, sweep_50):
 def test_criterion_9_factorization_soundness(sweep_50):
     rng = np.random.default_rng(99)
     for inst in sweep_50:
-        norm = model.normalize(inst)
         plan = partition.optimal_partition_exact(inst, 2)
         fact = factorize.partition_to_factorization(inst, plan)
-        assert factorize.kdim_represents(norm, fact.A)
+        assert factorize.kdim_represents(inst, fact.A)
         u = rng.random((1000, inst.num_operations))
         load = (u @ fact.A).max(axis=1)
         x = u * (rng.random(1000) / np.maximum(load, 1e-30))[:, None]
         assert np.all(x @ fact.A <= 1 + 1e-9)
-        assert np.all(x @ norm.matrix <= 1 + 1e-9)
+        assert np.all(x @ inst.normalized_usage <= 1 + 1e-9)
     _passed(9, "1000 sampled A-feasible blocks per factorization are "
                "always feasible, for 50 valid factorizations")
 

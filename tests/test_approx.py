@@ -25,21 +25,21 @@ def _scaled_pair(seed, elementwise):
 
 class TestBuildGame:
     def test_table1_matches_table2(self, table1):
-        U = approx.build_game(table1).entries
+        U = approx.build_game(table1)
         expected = [[2 / 5, 1], [3 / 5, 1], [1, 5 / 9], [1, 1 / 2]]
         assert np.allclose(U, expected, rtol=1e-15)
 
     def test_table3(self, table3):
-        U = approx.build_game(table3).entries
+        U = approx.build_game(table3)
         assert np.array_equal(U, [[0, 1], [1, 1], [1, 0]])
 
     def test_single_op_single_resource(self):
         inst = model.instance_from_arrays(["a"], ["r"], [[3]], [7])
-        assert np.array_equal(approx.build_game(inst).entries, [[1.0]])
+        assert np.array_equal(approx.build_game(inst), [[1.0]])
 
     def test_every_row_attains_one(self):
         for seed in range(20):
-            U = approx.build_game(random_instance(seed)).entries
+            U = approx.build_game(random_instance(seed))
             assert np.all(U >= 0) and np.all(U <= 1 + 1e-15)
             assert np.allclose(U.max(axis=1), 1.0)
 
@@ -90,7 +90,7 @@ class TestOracle:
         # sparse games whose row LP runs long degenerate pivot sequences
         inst = formats.random_instance_doc(*size).to_instance()
         rep = approx.approximability(inst, with_oracle=True)
-        U = approx.build_game(inst).entries
+        U = approx.build_game(inst)
         lower = 1.0 / np.max(rep.game.row_strategy @ U)
         upper = 1.0 / np.min(U @ rep.game.col_strategy)
         assert lower == pytest.approx(rep.alpha, rel=1e-9)
@@ -140,7 +140,7 @@ class TestProperties:
             assert model.gas_of(rep.measure, rep.witness) == pytest.approx(
                 rep.alpha, abs=1e-8)
             assert lpcore.verify_equilibrium(
-                approx.build_game(inst).entries, rep.game, 1e-9)
+                approx.build_game(inst), rep.game, 1e-9)
 
     def test_column_scaling_leaves_alpha_unchanged(self):
         for seed in range(10):

@@ -3,17 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from gasloss import approx, factorize, formats, lpcore, model, partition
+from gasloss import factorize, formats, lpcore, model, partition
 from gasloss.errors import InstanceError
 from helpers import random_instance
 
 
-def per_dimension_oracle(norm, A, ell):
+def per_dimension_oracle(instance, A, ell):
     """LP oracle for one dimension: max total dimension-ell cost of any
     feasible block."""
-    n = norm.matrix.shape[1]
-    lp = lpcore.LinearProgram(
-        A[:, ell], norm.matrix.T, np.ones(n), maximize=True)
+    n = instance.normalized_usage.shape[1]
+    lp = lpcore.LinearProgram(A[:, ell], instance.normalized_usage.T,
+                              np.ones(n))
     res = lpcore.solve_lp(lp)
     assert res.status == "optimal"
     return float(res.value)
@@ -30,23 +30,20 @@ def all_two_partitions(n):
 
 class TestKdimRepresents:
     def test_minimal_measure_column(self, table1):
-        norm = model.normalize(table1)
         g = model.minimal_gas_measure(table1).costs
-        assert factorize.kdim_represents(norm, g[:, None])
+        assert factorize.kdim_represents(table1, g[:, None])
 
     def test_all_zero_column_fails(self, table1):
-        norm = model.normalize(table1)
-        assert not factorize.kdim_represents(norm, np.zeros((4, 1)))
+        assert not factorize.kdim_represents(table1, np.zeros((4, 1)))
 
     def test_partition_derived_always_represents(self):
         for seed in range(10):
             inst = random_instance(seed)
-            norm = model.normalize(inst)
             n = inst.num_resources
             k = min(2, n)
             plan = partition.optimal_partition_exact(inst, k)
             fact = factorize.partition_to_factorization(inst, plan)
-            assert factorize.kdim_represents(norm, fact.A)
+            assert factorize.kdim_represents(inst, fact.A)
 
 
 class TestPartitionToFactorization:
@@ -60,7 +57,7 @@ class TestPartitionToFactorization:
     def test_singletons_recover_normalized_matrix(self, table1):
         plan = partition.partition_loss(table1, [(0,), (1,)])
         fact = factorize.partition_to_factorization(table1, plan)
-        assert np.allclose(fact.A, model.normalize(table1).matrix)
+        assert np.allclose(fact.A, table1.normalized_usage)
         assert np.array_equal(fact.R, np.eye(2))
 
     def test_conditions_hold_by_construction(self):
@@ -69,7 +66,7 @@ class TestPartitionToFactorization:
             k = min(2, inst.num_resources)
             plan = partition.optimal_partition_exact(inst, k)
             fact = factorize.partition_to_factorization(inst, plan)
-            w = model.normalize(inst).matrix
+            w = inst.normalized_usage
             assert np.all(fact.A @ fact.R >= w - 1e-9)
             assert np.all(fact.R.sum(axis=0) <= 1 + 1e-9)
 
@@ -77,47 +74,42 @@ class TestPartitionToFactorization:
         ecp = partition.generate_ecp([1, 3, 2, 2], 0.1)
         plan = partition.optimal_partition_exact(ecp.instance, 2)
         fact = factorize.partition_to_factorization(ecp.instance, plan)
-        report = factorize.factor_loss(
-            model.normalize(ecp.instance), fact.A, fact.R)
+        report = factorize.factor_loss(ecp.instance, fact.A, fact.R)
         assert report.alpha <= 2.4 + 1e-9
 
 
 class TestFactorLoss:
     def test_k1_agrees_with_single_dimensional_alpha(self, table1):
-        norm = model.normalize(table1)
         g = model.minimal_gas_measure(table1).costs
-        report = factorize.factor_loss(norm, g[:, None])
+        report = factorize.factor_loss(table1, g[:, None])
         assert report.alpha == pytest.approx(11 / 8, abs=1e-9)
 
     def test_per_dimension_oracle_equivalence(self):
         for seed in range(15):
             inst = random_instance(seed)
-            norm = model.normalize(inst)
             k = min(2, inst.num_resources)
             plan = partition.optimal_partition_exact(inst, k)
             fact = factorize.partition_to_factorization(inst, plan)
-            report = factorize.factor_loss(norm, fact.A, fact.R)
+            report = factorize.factor_loss(inst, fact.A, fact.R)
             for ell, value in enumerate(report.per_dimension_values):
-                oracle = per_dimension_oracle(norm, fact.A, ell)
+                oracle = per_dimension_oracle(inst, fact.A, ell)
                 assert abs(1 / value - oracle) <= 1e-7
             assert report.alpha == pytest.approx(
-                max(per_dimension_oracle(norm, fact.A, ell)
+                max(per_dimension_oracle(inst, fact.A, ell)
                     for ell in range(fact.A.shape[1])), abs=1e-7)
 
     def test_representation_violated(self, table1):
-        norm = model.normalize(table1)
         g = model.minimal_gas_measure(table1).costs
         with pytest.raises(
                 InstanceError,
                 match="the k-dimensional measure does not represent the "
                       "instance"):
-            factorize.factor_loss(norm, 0.1 * g[:, None])
+            factorize.factor_loss(table1, 0.1 * g[:, None])
 
     def test_all_zero_dimension_skipped_with_warning(self, table1):
-        norm = model.normalize(table1)
         g = model.minimal_gas_measure(table1).costs
         A = np.column_stack([g, np.zeros(4)])
-        report = factorize.factor_loss(norm, A)
+        report = factorize.factor_loss(table1, A)
         assert np.isnan(report.per_dimension_values[1])
         assert report.alpha == pytest.approx(11 / 8, abs=1e-9)
         assert any("all-zero" in w for w in report.warnings)
@@ -134,9 +126,9 @@ class TestCoverCheck:
         calls = []
         evaluate = factorize.factor_loss
 
-        def record(instance_norm, A, R=None):
-            calls.append((instance_norm, A, R))
-            return evaluate(instance_norm, A, R)
+        def record(instance, A, R=None):
+            calls.append((instance, A, R))
+            return evaluate(instance, A, R)
 
         monkeypatch.setattr(factorize, "factor_loss", record)
         assert ((1 + factorize._COVER_SLACK) ** 2
@@ -145,54 +137,52 @@ class TestCoverCheck:
         cases += [(inst, k) for inst in bench_style_instances()
                   for k in (2, 3)]
         for inst, k in cases:
-            factorize.alternating_factorization(
-                model.normalize(inst), min(k, inst.num_resources))
+            factorize.alternating_factorization(inst,
+                                                min(k, inst.num_resources))
         # the partition-derived pair, and no alternating round, per case
         assert len(calls) == len(cases)
-        for norm, A, R in calls:
-            w = norm.matrix
+        for instance, A, R in calls:
+            w = instance.normalized_usage
             # every pair the factorization evaluates covers W'
             assert factorize._covers(w, A, R)
-            assert factorize.kdim_represents(norm, A)
+            assert factorize.kdim_represents(instance, A)
             # a cover of a scaled-down measure fails, and so does A itself
             assert not factorize._covers(w, 0.5 * A, R)
-            assert not factorize.kdim_represents(norm, 0.5 * A)
+            assert not factorize.kdim_represents(instance, 0.5 * A)
 
     def test_non_covering_column_falls_back_to_the_lps(self, monkeypatch,
                                                        table1):
         # a column the cover does not reach; A itself still represents
-        norm = model.normalize(table1)
         fact = factorize.partition_to_factorization(
             table1, partition.partition_loss(table1, [(0,), (1,)]))
         R = fact.R.copy()
         R[:, 1] = 0.0
-        assert not factorize._covers(norm.matrix, fact.A, R)
+        assert not factorize._covers(table1.normalized_usage, fact.A, R)
         checked = []
         check = factorize.kdim_represents
 
-        def record(instance_norm, A):
+        def record(instance, A):
             checked.append(1)
-            return check(instance_norm, A)
+            return check(instance, A)
 
         monkeypatch.setattr(factorize, "kdim_represents", record)
-        report = factorize.factor_loss(norm, fact.A, R)
+        report = factorize.factor_loss(table1, fact.A, R)
         assert checked
         assert report.alpha == pytest.approx(
-            factorize.factor_loss(norm, fact.A).alpha, rel=1e-12)
+            factorize.factor_loss(table1, fact.A).alpha, rel=1e-12)
         checked.clear()
-        factorize.factor_loss(norm, fact.A, fact.R)
+        factorize.factor_loss(table1, fact.A, fact.R)
         assert not checked
 
     def test_non_representing_measure_is_refused(self, table1):
         # 0.1 g with R = [[1, 1]] neither covers nor represents; the
         # refusal is an InstanceError, which the CLI exits with 2
-        norm = model.normalize(table1)
         g = model.minimal_gas_measure(table1).costs
         with pytest.raises(
                 InstanceError,
                 match="the k-dimensional measure does not represent the "
                       "instance"):
-            factorize.factor_loss(norm, 0.1 * g[:, None], np.ones((1, 2)))
+            factorize.factor_loss(table1, 0.1 * g[:, None], np.ones((1, 2)))
 
     @pytest.mark.parametrize("A, R", [
         # A R = W' but the column sums of R are 2
@@ -201,21 +191,19 @@ class TestCoverCheck:
         ([[-1.0, 1.0], [1.0, 1.0], [1.0, -1.0]], np.eye(2)),
     ])
     def test_cover_without_its_conditions_is_refused(self, table3, A, R):
-        norm = model.normalize(table3)
-        assert not factorize.kdim_represents(norm, np.array(A))
-        assert not factorize._covers(norm.matrix, np.array(A), R)
+        assert not factorize.kdim_represents(table3, np.array(A))
+        assert not factorize._covers(table3.normalized_usage, np.array(A), R)
         with pytest.raises(InstanceError):
-            factorize.factor_loss(norm, A, R)
+            factorize.factor_loss(table3, A, R)
 
     def test_alternation_matches_the_lp_checks(self, monkeypatch):
         instances = list(bench_style_instances())[:2]
-        reports = [factorize.alternating_factorization(model.normalize(i), k)
+        reports = [factorize.alternating_factorization(i, k)
                    for i in instances for k in (2, 3)]
         monkeypatch.setattr(factorize, "_covers", lambda w, A, R: False)
         for report, (inst, k) in zip(reports, [(i, k) for i in instances
                                               for k in (2, 3)]):
-            ref = factorize.alternating_factorization(model.normalize(inst),
-                                                      k)
+            ref = factorize.alternating_factorization(inst, k)
             assert np.array_equal(report.factorization.A, ref.factorization.A)
             assert report.alpha == ref.alpha
             assert np.array_equal(report.per_dimension_values,
@@ -226,28 +214,26 @@ class TestCoverCheck:
         represent_lps = []
         check = factorize.kdim_represents
 
-        def counted(instance_norm, A):
+        def counted(instance, A):
             before = len(lp_calls)
-            result = check(instance_norm, A)
+            result = check(instance, A)
             represent_lps.append(len(lp_calls) - before)
             return result
 
         monkeypatch.setattr(factorize, "kdim_represents", counted)
         for inst in bench_style_instances():
-            factorize.alternating_factorization(model.normalize(inst), 2)
+            factorize.alternating_factorization(inst, 2)
         assert lp_calls
         assert sum(represent_lps) == 0
 
 
 class TestAlternating:
     def test_k1_cannot_beat_minimal_measure(self, table1):
-        norm = model.normalize(table1)
-        report = factorize.alternating_factorization(norm, 1)
+        report = factorize.alternating_factorization(table1, 1)
         assert report.alpha == pytest.approx(11 / 8, abs=1e-9)
 
     def test_k_equals_n_matches_singleton_partition(self, table1):
-        norm = model.normalize(table1)
-        report = factorize.alternating_factorization(norm, 2)
+        report = factorize.alternating_factorization(table1, 2)
         singleton_loss = partition.partition_loss(
             table1, [(0,), (1,)]).loss
         assert report.alpha <= singleton_loss + 1e-9
@@ -257,9 +243,8 @@ class TestAlternating:
             inst = random_instance(seed, max_ops=6, max_res=4)
             if inst.num_resources < 2:
                 continue
-            norm = model.normalize(inst)
             exact = partition.optimal_partition_exact(inst, 2).loss
-            report = factorize.alternating_factorization(norm, 2)
+            report = factorize.alternating_factorization(inst, 2)
             assert report.alpha <= exact + 1e-9
 
     def test_row_update_reproduces_the_partition_measure(self):
@@ -268,16 +253,15 @@ class TestAlternating:
         # partition's own A, so a row update cannot change the measure;
         # that row is the dual of max w'_i @ y s.t. R y <= 1
         for inst in bench_style_instances():
-            norm = model.normalize(inst)
             for k in (2, 3):
                 fact = factorize.partition_to_factorization(
                     inst, partition.best_partition(inst, k))
-                for w_i, a_i in zip(norm.matrix, fact.A):
+                for w_i, a_i in zip(inst.normalized_usage, fact.A):
                     res = lpcore.solve_lp(lpcore.LinearProgram(
-                        w_i, fact.R, np.ones(k), maximize=True))
+                        w_i, fact.R, np.ones(k)))
                     assert res.status == "optimal"
                     assert np.allclose(res.y, a_i, rtol=1e-12, atol=1e-15)
-                report = factorize.alternating_factorization(norm, k)
+                report = factorize.alternating_factorization(inst, k)
                 assert np.array_equal(report.factorization.A, fact.A)
                 assert np.array_equal(report.factorization.R, fact.R)
 
@@ -287,26 +271,24 @@ class TestSoundness:
         rng = np.random.default_rng(3)
         for seed in range(10):
             inst = random_instance(seed)
-            norm = model.normalize(inst)
             k = min(2, inst.num_resources)
             plan = partition.optimal_partition_exact(inst, k)
             fact = factorize.partition_to_factorization(inst, plan)
-            assert factorize.kdim_represents(norm, fact.A)
+            assert factorize.kdim_represents(inst, fact.A)
             u = rng.random((200, inst.num_operations))
             load = u @ fact.A                     # per-dimension costs
             scale = 1.0 / np.maximum(load.max(axis=1), 1e-30)
             x = u * (scale * rng.random(200))[:, None]
             assert np.all(x @ fact.A <= 1 + 1e-9)
-            assert np.all(x @ norm.matrix <= 1 + 1e-9)
+            assert np.all(x @ inst.normalized_usage <= 1 + 1e-9)
 
     def test_corollary_over_all_two_partitions(self):
         for seed in range(8):
             inst = random_instance(seed, max_ops=5, max_res=4)
             if inst.num_resources < 2:
                 continue
-            norm = model.normalize(inst)
             for groups in all_two_partitions(inst.num_resources):
                 plan = partition.partition_loss(inst, groups)
                 fact = factorize.partition_to_factorization(inst, plan)
-                report = factorize.factor_loss(norm, fact.A, fact.R)
+                report = factorize.factor_loss(inst, fact.A, fact.R)
                 assert report.alpha <= plan.loss + 1e-9

@@ -156,7 +156,7 @@ class TestMultiBlockAveraging:
     def test_best_reply_payoff_is_linear_in_the_mix(self, table1):
         # the guarantee extends to any block sequence with a given
         # average mix: the fixed best-reply column's payoff is linear
-        U = approx.build_game(table1).entries
+        U = approx.build_game(table1)
         rng = np.random.default_rng(41)
         for _ in range(10):
             mixes = rng.random((6, 4))

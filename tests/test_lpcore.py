@@ -16,27 +16,26 @@ def _random_solvable_lp(rng, n, m):
     a = np.vstack([a, np.ones(n)])      # keeps the program bounded
     b = np.concatenate([b, [10.0]])
     c = rng.random(n)
-    return LinearProgram(c, a, b, maximize=True)
+    return LinearProgram(c, a, b)
 
 
 class TestSolveLP:
     def test_single_bound(self):
-        res = lpcore.solve_lp(LinearProgram(
-            [1.0], [[1.0]], [5.0], maximize=True))
+        res = lpcore.solve_lp(LinearProgram([1.0], [[1.0]], [5.0]))
         assert res.status == "optimal"
         assert res.value == pytest.approx(5.0)
         assert res.x[0] == pytest.approx(5.0)
 
     def test_redundant_constraint(self):
         res = lpcore.solve_lp(LinearProgram(
-            [1.0, 1.0], [[1, 1], [1, 0]], [1.0, 0.3], maximize=True))
+            [1.0, 1.0], [[1, 1], [1, 0]], [1.0, 0.3]))
         assert res.value == pytest.approx(1.0)
 
     def test_table1_gas_lp(self, table1):
         from gasloss import model
         g = model.minimal_gas_measure(table1).costs
         res = lpcore.solve_lp(LinearProgram(
-            g, table1.usage.T, table1.capacities, maximize=True))
+            g, table1.usage.T, table1.capacities))
         assert res.value == pytest.approx(11 / 8, abs=1e-9)
 
     @pytest.mark.parametrize("bound", [-2.0, -0.5, np.nan])
@@ -44,12 +43,10 @@ class TestSolveLP:
         # x = 0 must be feasible, so that one pass from the slack basis
         # solves the program
         with pytest.raises(ValueError, match="bounds must be >= 0"):
-            LinearProgram([1.0, 2.0], [[1, 1], [-1, 0]], [1.0, bound],
-                          maximize=True)
+            LinearProgram([1.0, 2.0], [[1, 1], [-1, 0]], [1.0, bound])
 
     def test_unbounded(self):
-        res = lpcore.solve_lp(LinearProgram(
-            [1.0, 0.0], [[0, 1]], [1.0], maximize=True))
+        res = lpcore.solve_lp(LinearProgram([1.0, 0.0], [[0, 1]], [1.0]))
         assert res.status == "unbounded"
 
     def test_strong_duality_on_random_lps(self):
@@ -59,6 +56,7 @@ class TestSolveLP:
             m = rng.integers(1, 9)
             lp = _random_solvable_lp(rng, n, m)
             if i % 2 == 0:
+                # random-sign objective: some variables are best left at 0
                 lp = LinearProgram(rng.normal(size=n), lp.matrix, lp.bounds)
             res = lpcore.solve_lp(lp)
             assert res.status == "optimal"
@@ -66,12 +64,9 @@ class TestSolveLP:
             slack = lp.bounds - lp.matrix @ res.x
             assert np.all(res.x >= -1e-9)
             assert np.all(slack >= -1e-8)
-            # dual feasibility, as for max c.x: A^T u >= c, u >= 0 with
-            # u = y for a maximization and u = -y for a minimization
-            sign = 1.0 if lp.maximize else -1.0
-            assert np.all(lp.matrix.T @ (sign * res.y)
-                          >= sign * lp.objective - 1e-8)
-            assert np.all(sign * res.y >= -1e-9)
+            # dual feasibility: A^T y >= c, y >= 0
+            assert np.all(lp.matrix.T @ res.y >= lp.objective - 1e-8)
+            assert np.all(res.y >= -1e-9)
             # zero gap and complementary slackness
             dual_value = float(lp.bounds @ res.y)
             assert dual_value == pytest.approx(
@@ -82,8 +77,7 @@ class TestSolveLP:
         for bad in (np.inf, np.nan):
             with np.errstate(all="ignore"), pytest.raises(
                     (NumericalFailure, ValueError)):
-                lpcore.solve_lp(LinearProgram([1.0], [[1.0]], [bad],
-                                              maximize=True))
+                lpcore.solve_lp(LinearProgram([1.0], [[1.0]], [bad]))
 
 
 class TestProductionLPs:
@@ -113,7 +107,6 @@ class TestProductionLPs:
         instances = [table1] + [random_instance(s) for s in (7, 11, 20, 23)]
         mixed_sign = np.array([[1.0, -2.0, 0.5], [-1.5, 3.0, -0.5]])
         for inst in instances:
-            norm = model.normalize(inst)
             k = min(2, inst.num_resources)
             m = inst.num_operations
             f = np.full(m, 1.0 / m)
@@ -122,8 +115,8 @@ class TestProductionLPs:
                 lambda: partition.optimal_partition_exact(inst, k),
                 lambda: partition.optimal_partition_greedy(inst, k),
                 lambda: factorize.factor_loss(
-                    norm, model.minimal_gas_measure(inst).costs[:, None]),
-                lambda: factorize.alternating_factorization(norm, k),
+                    inst, model.minimal_gas_measure(inst).costs[:, None]),
+                lambda: factorize.alternating_factorization(inst, k),
                 lambda: hist.hist_loss_range(inst, np.zeros(m), np.ones(m)),
                 lambda: hist.hist_loss_range(inst, f / 2, np.minimum(2 * f, 1)),
                 lambda: model.max_block_size(inst),
@@ -173,8 +166,7 @@ def _scaled_loss_instance(seed, twin_row, twin_col):
 def _loss_program(instance):
     g = model.minimal_gas_measure(instance).costs
     n = instance.num_resources
-    return LinearProgram(g, instance.normalized_usage.T, np.ones(n),
-                         maximize=True)
+    return LinearProgram(g, instance.normalized_usage.T, np.ones(n))
 
 
 class TestSlackBasisPath:
@@ -215,7 +207,7 @@ class TestSlackBasisPath:
 class TestZeroSum:
     def test_table2_game(self, table1):
         from gasloss import approx
-        U = approx.build_game(table1).entries
+        U = approx.build_game(table1)
         sol = lpcore.solve_zero_sum(U)
         assert sol.value == pytest.approx(8 / 11, abs=1e-9)
         assert lpcore.verify_equilibrium(U, sol, 1e-8)
@@ -230,11 +222,6 @@ class TestZeroSum:
     def test_one_by_one(self):
         for c in (-3.5, 0.0, 2.25):
             assert lpcore.solve_zero_sum([[c]]).value == pytest.approx(c)
-
-    def test_row_maximizer_mode(self):
-        U = np.array([[1.0, 0.0], [0.0, 1.0]])
-        sol = lpcore.solve_zero_sum(U, row_minimizes=False)
-        assert sol.value == pytest.approx(0.5, abs=1e-9)
 
     def test_minimax_equals_maximin(self):
         rng = np.random.default_rng(23)
@@ -278,7 +265,7 @@ class TestZeroSum:
 class TestVerifyEquilibrium:
     def test_uniform_row_strategy_rejected(self, table1):
         from gasloss import approx
-        U = approx.build_game(table1).entries
+        U = approx.build_game(table1)
         bad = GameSolution(8 / 11, np.full(4, 0.25),
                            np.array([5 / 11, 6 / 11]))
         # uniform mixing lets some column exceed the value

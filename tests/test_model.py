@@ -68,23 +68,16 @@ class TestValidation:
 
 class TestNormalize:
     def test_table1(self, table1):
-        norm = model.normalize(table1)
         expected = [[2 / 15, 1 / 3], [2 / 5, 2 / 3],
                     [3 / 5, 1 / 3], [2 / 3, 1 / 3]]
-        assert np.allclose(norm.matrix, expected, rtol=0, atol=0)
+        assert np.allclose(table1.normalized_usage, expected, rtol=0, atol=0)
 
     def test_identity_on_unit_capacities(self, table3):
-        norm = model.normalize(table3)
-        assert np.array_equal(norm.matrix, table3.usage)
+        assert np.array_equal(table3.normalized_usage, table3.usage)
 
     def test_scalar(self):
         inst = model.instance_from_arrays(["a"], ["r"], [[6]], [3])
-        assert model.normalize(inst).matrix[0, 0] == 2.0
-
-    def test_idempotent(self, table1):
-        once = model.normalize(table1)
-        twice = model.normalize(once.as_instance())
-        assert np.array_equal(once.matrix, twice.matrix)
+        assert inst.normalized_usage[0, 0] == 2.0
 
 
 class TestMinimalMeasure:
@@ -214,8 +207,8 @@ class TestProperties:
         caps[j] *= scale
         scaled = model.instance_from_arrays(
             inst.operation_names, inst.resource_names, usage, caps)
-        assert np.allclose(model.normalize(scaled).matrix,
-                           model.normalize(inst).matrix, rtol=1e-12)
+        assert np.allclose(scaled.normalized_usage,
+                           inst.normalized_usage, rtol=1e-12)
         assert np.allclose(model.minimal_gas_measure(scaled).costs,
                            model.minimal_gas_measure(inst).costs, rtol=1e-12)
         rng = np.random.default_rng(seed)

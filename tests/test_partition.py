@@ -168,7 +168,7 @@ class TestPartitionLoss:
 
     def test_per_group_measures_are_group_row_maxima(self, table1):
         plan = partition.partition_loss(table1, [(0,), (1,)])
-        norm = model.normalize(table1).matrix
+        norm = table1.normalized_usage
         assert np.allclose(plan.per_group_measures[0], norm[:, 0])
         assert np.allclose(plan.per_group_measures[1], norm[:, 1])
 
