@@ -10,13 +10,13 @@ u >= 0, A^T u >= c and b @ u = c @ x.  Each check allows a tolerance
 scaled by the data, and a failure raises NumericalFailure.  Problems
 here are tiny (a few hundred variables at most): a dense tableau fits.
 
-loss_lp, max a @ x s.t. M^T x <= 1, solves a zero-sum game u = M / a
-through its primal and dual.  solve_zero_sum solves a game U directly,
-as the LP of the shifted game U + 1 - min U, whose entries are all at
-least 1.  The shift stays even for a nonnegative U such as the game of
-approx.build_game: unshifted, that game's LP is loss_lp's program with
-its variables rescaled (the very same program, once loss_lp works in
-game coordinates), so the oracle would check nothing.
+loss_lp, max a @ x s.t. M^T x <= 1, solves the zero-sum game u = M / a
+as the LP max 1 @ z s.t. u^T z <= 1 in the game coordinates z = a x,
+and its primal and dual are the game's strategies.  solve_zero_sum
+solves a game U directly, as the LP of the shifted game U + 1 - min U,
+whose entries are all at least 1.  The shift stays even for a
+nonnegative U such as the game of approx.build_game: unshifted, that
+game's LP is loss_lp's program, so the oracle would check nothing.
 
 All numeric tolerances used by the solver live here as module constants.
 """
@@ -194,13 +194,21 @@ def _checked(lp, x, u, value) -> LPResult:
 
 
 def loss_lp(a, M) -> LossSolution:
-    """max a @ x s.t. M^T x <= 1, x >= 0, the LP form of every loss here."""
-    n = np.shape(M)[1]
-    lp = LinearProgram(a, np.transpose(M), np.ones(n))
-    res = solve_lp(lp)
+    """max a @ x s.t. M^T x <= 1, x >= 0, the LP form of every loss here.
+
+    It is solved in game coordinates z_i = a_i x_i: row i of M becomes
+    u_i = M_i / a_i with objective 1, so the absolute tolerances see
+    every operation at one scale whatever its units.  A row with
+    a_i <= 0 keeps M_i and its objective a_i.  x is z / a, and the dual
+    is the same in both coordinates."""
+    a = np.asarray(a, dtype=float)
+    scale = np.where(a > 0, a, 1.0)
+    res = solve_lp(LinearProgram(np.where(a > 0, 1.0, a),
+                                 np.transpose(M) / scale,
+                                 np.ones(np.shape(M)[1])))
     alpha = res.value if res.status == "optimal" else np.inf
-    return LossSolution(alpha, np.maximum(res.x, 0.0),
-                        np.maximum(res.y, 0.0), lp.objective)
+    return LossSolution(alpha, np.maximum(res.x / scale, 0.0),
+                        np.maximum(res.y, 0.0), a)
 
 
 def _clean_simplex(v):

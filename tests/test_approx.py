@@ -3,17 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasloss import approx, formats, lpcore, model
+from gasloss import approx, formats, lpcore, model, partition
 from helpers import (exact_vertex_oracle, feasible_region_gas_max,
                      random_instance)
 
 
-def _scaled_pair(seed, elementwise):
-    """A random instance of 1-6 operations x 1-3 resources, and a copy
-    whose usage is scaled by 10^U(-6, 6) per operation row, or per entry
-    when elementwise."""
+def _scaled_pair(seed, elementwise, max_ops=6, max_res=3):
+    """A random instance of 1..max_ops operations x 1..max_res resources,
+    and a copy whose usage is scaled by 10^U(-6, 6) per operation row, or
+    per entry when elementwise."""
     rng = np.random.default_rng(seed)
-    m, n = rng.integers(1, 7), rng.integers(1, 4)
+    m, n = rng.integers(1, max_ops + 1), rng.integers(1, max_res + 1)
     w = rng.random((m, n)) * (rng.random((m, n)) < 0.6)
     w[np.arange(m), rng.integers(0, n, m)] += 0.5
     scale = 10.0 ** rng.uniform(-6, 6, (m, n) if elementwise else (m, 1))
@@ -21,6 +21,16 @@ def _scaled_pair(seed, elementwise):
     ops, res = [f"op{i}" for i in range(m)], [f"r{j}" for j in range(n)]
     return (model.instance_from_arrays(ops, res, w, caps),
             model.instance_from_arrays(ops, res, w * scale, caps))
+
+
+def _oracle_group_loss(instance, cols):
+    """1 / value of the block's game, by the zero-sum game solver, over
+    the operations the block uses; a block no operation uses has loss 1."""
+    sub = instance.normalized_usage[:, list(cols)]
+    sub = sub[np.any(sub > 0, axis=1)]
+    if sub.size == 0:
+        return 1.0
+    return 1.0 / lpcore.solve_zero_sum(sub / sub.max(axis=1)[:, None]).value
 
 
 class TestBuildGame:
@@ -105,6 +115,22 @@ class TestOracleUnderScaling:
         inst, scaled = _scaled_pair(seed, elementwise=False)
         assert approx.approximability_oracle(scaled) == pytest.approx(
             approx.approximability_oracle(inst), rel=1e-9)
+
+    # an operation's scale does not change alpha, nor any group loss:
+    # the loss LPs, solved in game coordinates, must agree with the
+    # oracle on the unscaled instance however far apart the scales lie
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_row_scaling_leaves_every_loss_lp_unchanged(self, seed):
+        inst, scaled = _scaled_pair(seed, elementwise=False, max_ops=8,
+                                    max_res=5)
+        assert approx.approximability(scaled).alpha == pytest.approx(
+            approx.approximability_oracle(inst), rel=1e-9)
+        groups = partition._GroupLosses(scaled)
+        for mask in range(1, 1 << inst.num_resources):
+            assert groups.loss(mask) == pytest.approx(
+                _oracle_group_loss(inst, partition._members(mask)),
+                rel=1e-9)
 
     # a solver fault that shows on about 1% of such instances must still
     # show here, hence 300 examples
