@@ -226,8 +226,12 @@ def cmd_gen(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InstanceError(
+                f"cannot write {args.out}: {exc.strerror}") from exc
         print(f"wrote {args.out}", file=sys.stderr)
     return EXIT_OK
 

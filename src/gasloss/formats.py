@@ -63,7 +63,7 @@ def parse_instance(text: str) -> InstanceDoc:
 def _parse_json(text: str) -> InstanceDoc:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # bad JSON, or an integer of too many digits
         raise InstanceError(f"malformed instance file: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceError("instance file must be a JSON object")
@@ -124,6 +124,8 @@ def load_instance_doc(path) -> InstanceDoc:
             return parse_instance(fh.read())
     except OSError as exc:
         raise InstanceError(f"no such instance file: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"malformed instance file: {exc}") from exc
 
 
 def load_profile(path, instance: model.ResourceInstance) -> np.ndarray:
@@ -146,7 +148,7 @@ def _load_mapping(path, instance):
             doc = json.load(fh)
     except OSError as exc:
         raise InstanceError(f"no such profile file: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # bad JSON or UTF-8, or too many digits
         raise InstanceError(f"malformed profile file: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceError("profile must be a JSON object")
@@ -161,6 +163,8 @@ def _load_mapping(path, instance):
         except (TypeError, ValueError) as exc:
             raise InstanceError(
                 f"non-numeric weight for operation {name!r}") from exc
+        except OverflowError:
+            value = np.inf      # an integer beyond float range
         if not np.isfinite(value):
             raise InstanceError(f"non-finite weight for operation {name!r}")
         if value < 0:

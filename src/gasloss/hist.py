@@ -34,8 +34,8 @@ def hist_strategy(g: model.GasMeasure, f) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != costs.shape:
         raise InstanceError("frequency vector length must match the measure")
-    if not np.all(np.isfinite(f)):
-        raise InstanceError("frequencies must be finite")
+    if not np.all(np.isfinite(f) & (f >= 0)):
+        raise InstanceError("frequencies must be finite and nonnegative")
     weighted = f * costs
     total = weighted.sum()
     if total <= 0:

@@ -159,9 +159,9 @@ def walk_instance(raw):
     """Resource triples, operation pairs and notes of an instance mapping
     (see the formats module): names become str, amounts float, zero usages
     are dropped and usage keys keep their order.  A usage naming a resource
-    that is not listed, a boolean or string amount, a string congesting
-    flag, notes that are not a list, or any other shape, raises
-    InstanceError."""
+    that is not listed, a boolean or string amount, an integer beyond
+    float range, a string congesting flag, notes that are not a list, or
+    any other shape, raises InstanceError."""
     try:
         resources = [
             (str(r["name"]), _number(r["capacity"]),
@@ -185,7 +185,8 @@ def walk_instance(raw):
         if not isinstance(notes, (list, tuple)):
             raise TypeError(f"notes must be a list, got {notes!r}")
         notes = [str(s) for s in notes]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         if isinstance(exc, InstanceError):
             raise
         raise InstanceError(f"malformed instance file: {exc}") from exc

@@ -72,12 +72,24 @@ class TestMeasure:
         ' "operations": [{"name": "a", "usage": {"r": false}}]}',
         '{"resources": [{"name": "r", "capacity": 1, "congesting": "no"}],'
         ' "operations": [{"name": "a", "usage": {"r": 1}}]}',
+        # integers beyond float range, or beyond the digits json reads
+        '{"resources": [{"name": "r", "capacity": %s}],'
+        ' "operations": [{"name": "a", "usage": {"r": 1}}]}' % ("9" * 401),
+        '{"resources": [{"name": "r", "capacity": 1}],'
+        ' "operations": [{"name": "a", "usage": {"r": %s}}]}' % ("9" * 401),
+        '{"resources": [{"name": "r", "capacity": %s}],'
+        ' "operations": [{"name": "a", "usage": {"r": 1}}]}' % ("9" * 5001),
+        # not UTF-8: a Latin-1 byte in a resource name
+        b'{"resources": [{"name": "r\xe9", "capacity": 1}],'
+        b' "operations": [{"name": "a", "usage": {"r\xe9": 1}}]}',
     ], ids=["operation-not-object", "usage-not-object", "notes-not-list",
             "notes-string", "capacity-boolean", "capacity-string",
-            "usage-string", "usage-boolean", "congesting-string"])
+            "usage-string", "usage-boolean", "congesting-string",
+            "capacity-401-digits", "usage-401-digits",
+            "capacity-5001-digits", "not-utf8"])
     def test_malformed_shape_exits_2(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         code, out, err = run(capsys, "measure", str(path))
         assert code == 2
         assert out == ""
@@ -204,13 +216,18 @@ class TestFactorize:
 
 
     def test_k_above_resource_count(self, capsys, table1_path):
-        code, out, err = run(capsys, "factorize", table1_path, "--k", "5")
-        assert code == 2
-        assert out == "" and "error:" in err
+        for k in ("5", "0"):
+            code, out, err = run(capsys, "factorize", table1_path, "--k", k)
+            assert code == 2
+            assert out == "" and "error: k must be in 1..2" in err
         code, out, _ = run(capsys, "factorize", table1_path, "--k", "5",
                            "--mode", "alternate", "--json")
         assert code == 0
         assert json.loads(out)["k"] == 2
+        code, out, err = run(capsys, "factorize", table1_path, "--k", "0",
+                             "--mode", "alternate")
+        assert code == 2
+        assert out == "" and "error: k must be at least 1" in err
 
     def test_alternate_equals_from_partition(self, capsys, tmp_path):
         docs = {name: formats.preset_doc(name)
@@ -279,7 +296,8 @@ class TestHist:
     @pytest.mark.parametrize("weight, problem", [
         ("NaN", "non-finite"), ("Infinity", "non-finite"),
         ("null", "non-numeric"), ('"abc"', "non-numeric"),
-        ("true", "non-numeric"), ('"0.5"', "non-numeric")])
+        ("true", "non-numeric"), ('"0.5"', "non-numeric"),
+        pytest.param("9" * 401, "non-finite", id="401-digits")])
     def test_bad_frequency_weight_exits_2(self, capsys, table1_path,
                                           tmp_path, weight, problem):
         f = tmp_path / "f.json"
@@ -291,7 +309,8 @@ class TestHist:
 
     @pytest.mark.parametrize("side, weight", [
         ("low", "NaN"), ("high", "Infinity"), ("low", "null"),
-        ("high", "true"), ("low", '"0.5"')])
+        ("high", "true"), ("low", '"0.5"'),
+        pytest.param("high", "9" * 401, id="high-401-digits")])
     def test_bad_bound_weight_exits_2(self, capsys, table1_path, tmp_path,
                                       side, weight):
         bounds = {"low": "{}", "high": '{"Op1": 1, "Op2": 1, "Op3": 1}'}
@@ -305,6 +324,19 @@ class TestHist:
         assert code == 2
         assert out == ""
         assert "weight for operation 'Op1'" in err
+
+    @pytest.mark.parametrize("text", [
+        b'{"Op1": 1,', b'{"Op1": %s}' % (b"9" * 5001), b'{"Op\xe9": 1}'],
+        ids=["bad-json", "5001-digits", "not-utf8"])
+    def test_malformed_profile_exits_2(self, capsys, table1_path, tmp_path,
+                                       text):
+        f = tmp_path / "f.json"
+        f.write_bytes(text)
+        for flags in (["--freq", str(f)], ["--low", str(f), "--high", str(f)]):
+            code, out, err = run(capsys, "hist", table1_path, *flags)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: malformed profile file")
 
     def test_mode_flags_required(self, capsys, table1_path):
         code, _, err = run(capsys, "hist", table1_path)
@@ -320,6 +352,14 @@ class TestGen:
         assert code == 0
         inst = formats.load_instance_doc(out_path).to_instance()
         assert inst.num_operations == 8 and inst.num_resources == 8
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        for target in (tmp_path / "missing" / "x.json", tmp_path):
+            code, out, err = run(capsys, "gen", "preset", "--preset",
+                                 "table1", "--out", str(target))
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: cannot write {target}")
 
     def test_bad_epsilon_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "gen", "ecp", "--set", "1,3,2,2",

@@ -42,6 +42,15 @@ class TestHistStrategy:
         with pytest.raises(InstanceError, match="frequencies must be finite"):
             hist.hist_loss(table1, [bad, 1, 0, 0])
 
+    def test_negative_frequencies_rejected(self, table1):
+        # the CLI's profile loader refuses these too; unchecked, this mix
+        # gave an x_hist entry of -0.21 and alpha_hist 1.043
+        g = model.minimal_gas_measure(table1)
+        for call in (lambda f: hist.hist_strategy(g, f),
+                     lambda f: hist.hist_loss(table1, f)):
+            with pytest.raises(InstanceError, match="nonnegative"):
+                call([-0.5, 0.5, 0.5, 0.5])
+
 
 class TestHistLoss:
     def test_table1_uniform_appendix_example(self, table1):
