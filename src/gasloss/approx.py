@@ -56,8 +56,8 @@ def approximability(instance: model.ResourceInstance,
 
 def approximability_oracle(instance: model.ResourceInstance) -> float:
     """The loss as the reciprocal of the game value, by the zero-sum game
-    solver.  Its LP is over the shifted game U + 1 - min U, not
-    approximability's LP with its variables rescaled, so the two answers
+    solver.  Its LP is over the shifted game U + 1 - min U, not the
+    unshifted game that approximability's LP solves, so the two answers
     check each other."""
     game = lpcore.solve_zero_sum(build_game(instance))
     if game.value <= 0:
