@@ -10,10 +10,13 @@ The canonical instance format is a JSON document:
 
 Missing usage entries mean 0; "congesting": false marks a resource that
 is tracked and paid for but never binding, so it is excluded from the
-analysis.  Parsing (model.walk_instance) keeps the file's order of usage
-keys; serialization is canonical (two-space indent, keys in schema order,
-usage keys in resource order, zero usages omitted), so serialize -> parse
--> serialize is byte identical.
+analysis.  Amounts are JSON numbers: parsing (model.walk_instance) keeps
+a usage mapping of nonzero ints and floats as loaded, in the file's key
+order, and the amounts are made floats together when the usage matrix is
+filled (model.instance_from_pairs).  Serialization is canonical (two-space
+indent, keys in schema order, usage keys in resource order, zero usages
+omitted, integral amounts below 1e15 written as ints), so serialize ->
+parse -> serialize is byte identical.
 
 A simple delimited-table import is also supported: a header row with
 the resource names, one row per operation, and a final "capacity" row.
@@ -23,13 +26,15 @@ nonnegative weight; weights are renormalized to the simplex on load.
 Box bounds for range mode use the same format and are not renormalized.
 
 The random generator uses splitmix64 so fixtures are reproducible from
-the seed alone, independent of any library RNG.
+the seed alone, independent of any library RNG; the stream is indexed by
+position, so a whole instance is drawn in one array computation.
 """
 
 import csv
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -97,8 +102,9 @@ def _parse_table(text: str) -> InstanceDoc:
     return InstanceDoc(resources, operations)
 
 
-def _format_number(x: float):
-    return int(x) if float(x).is_integer() and abs(x) < 1e15 else x
+def _format_number(x):
+    x = float(x)    # a parsed amount may still be a JSON int
+    return int(x) if x.is_integer() and abs(x) < 1e15 else x
 
 
 def serialize_instance(doc: InstanceDoc) -> str:
@@ -121,11 +127,14 @@ def serialize_instance(doc: InstanceDoc) -> str:
 def load_instance_doc(path) -> InstanceDoc:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_instance(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except FileNotFoundError as exc:
         raise InstanceError(f"no such instance file: {path}") from exc
+    except OSError as exc:          # a directory, no permission, ...
+        raise InstanceError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise InstanceError(f"malformed instance file: {exc}") from exc
+    return parse_instance(text)
 
 
 def load_profile(path, instance: model.ResourceInstance) -> np.ndarray:
@@ -146,8 +155,10 @@ def _load_mapping(path, instance):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except FileNotFoundError as exc:
         raise InstanceError(f"no such profile file: {path}") from exc
+    except OSError as exc:          # a directory, no permission, ...
+        raise InstanceError(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:   # bad JSON or UTF-8, or too many digits
         raise InstanceError(f"malformed profile file: {exc}") from exc
     if not isinstance(doc, dict):
@@ -177,56 +188,64 @@ def _load_mapping(path, instance):
 # Generators and presets
 
 
-class TinyRng:
-    """splitmix64: next = gamma-stepped state mixed by two xor-shifts.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
-    state += 0x9E3779B97F4A7C15; z = state; z = (z ^ z>>30) * 0xBF58476D1CE4E5B9;
-    z = (z ^ z>>27) * 0x94D049BB133111EB; return z ^ z>>31.
-    """
 
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def below(self, n: int) -> int:
-        return self.next_u64() % n
-
-    def uniform(self) -> float:
-        return self.next_u64() / 2.0 ** 64
+def splitmix64(seed: int, start: int, count: int) -> np.ndarray:
+    """Outputs start+1 .. start+count of the splitmix64 stream of `seed`,
+    as uint64.  The stream is indexed by position: output k is
+    mix(seed + k * 0x9E3779B97F4A7C15 mod 2^64), where
+    mix(z): z = (z ^ z>>30) * 0xBF58476D1CE4E5B9;
+    z = (z ^ z>>27) * 0x94D049BB133111EB; return z ^ z>>31."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += np.uint64(seed & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def random_instance_doc(num_ops: int, num_resources: int,
                         density: float = 1.0, seed: int = 0) -> InstanceDoc:
     """Seeded-deterministic instance: usage entries from {0..10} (kept
     with probability `density`), capacities from {1..10}; all-zero
-    operation rows are re-rolled."""
+    operation rows are re-rolled.
+
+    One splitmix64 stream: num_resources capacity draws (x % 10 + 1),
+    then one block per row attempt: per resource a value draw (x % 11)
+    and, when density < 1, a uniform draw (x / 2^64) that zeroes the
+    value when >= density.  An all-zero block is a re-roll, so the rows
+    are the stream's nonzero blocks in order."""
     if not 0 < density <= 1:
         raise InstanceError("density must be in (0, 1]")
     if num_ops < 1 or num_resources < 1:
         raise InstanceError("need at least one operation and one resource")
-    rng = TinyRng(seed)
     res_names = [f"res{j + 1}" for j in range(num_resources)]
-    capacities = [float(1 + rng.below(10)) for _ in range(num_resources)]
-    operations = []
-    for i in range(num_ops):
-        while True:
-            row = []
-            for _ in range(num_resources):
-                value = rng.below(11)
-                if density < 1 and rng.uniform() >= density:
-                    value = 0
-                row.append(float(value))
-            if any(row):
-                break
-        operations.append(
-            (f"op{i + 1}",
-             {rn: v for rn, v in zip(res_names, row) if v != 0}))
+    capacities = (splitmix64(seed, 0, num_resources) % np.uint64(10)
+                  + np.uint64(1)).astype(float).tolist()
+    sparse = density < 1
+    width = 2 * num_resources if sparse else num_resources
+    rows, pos, missing = [], num_resources, num_ops
+    while missing:
+        draws = splitmix64(seed, pos, missing * width).reshape(missing, width)
+        pos += missing * width
+        if sparse:
+            values = draws[:, 0::2] % np.uint64(11)
+            values[draws[:, 1::2] / 2.0 ** 64 >= density] = 0
+        else:
+            values = draws % np.uint64(11)
+        values = values[values.any(axis=1)]
+        rows.append(values)
+        missing -= len(values)
+    usage = np.concatenate(rows).astype(float).tolist()
+    operations = [
+        (f"op{i + 1}", dict(zip(compress(res_names, row), filter(None, row))))
+        for i, row in enumerate(usage)]
     resources = [(n, c, True) for n, c in zip(res_names, capacities)]
     return InstanceDoc(resources, operations)
 

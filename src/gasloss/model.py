@@ -141,6 +141,8 @@ def instance_from_arrays(operation_names, resource_names, usage, capacities,
 
 # JSON values that float() would convert but that are not numbers
 _NOT_NUMBERS = frozenset((bool, str))
+# amount types a usage mapping may keep as loaded; float() takes them all
+_AMOUNT_TYPES = frozenset((int, float))
 
 
 def _number(value):
@@ -155,13 +157,30 @@ def _flag(value):
     return bool(value)
 
 
+def _walk_usage(op, amounts, known):
+    """One operation's usage, an entry at a time: amounts made float, zeros
+    dropped, keys made str; every problem raises with its own message."""
+    usage = {str(k): x for k, v in amounts.items()
+             if (x := _number(v)) != 0}
+    unknown = {str(k) for k in amounts.keys() - known} - known
+    if unknown:
+        raise InstanceError(
+            f"operation {op.get('name')!r} uses unknown "
+            f"resources {sorted(unknown)}")
+    return usage
+
+
 def walk_instance(raw):
     """Resource triples, operation pairs and notes of an instance mapping
-    (see the formats module): names become str, amounts float, zero usages
-    are dropped and usage keys keep their order.  A usage naming a resource
-    that is not listed, a boolean or string amount, an integer beyond
-    float range, a string congesting flag, notes that are not a list, or
-    any other shape, raises InstanceError."""
+    (see the formats module): names become str, capacities float, zero
+    usages are dropped and usage keys keep their order.  A usage mapping
+    of nonzero int and float amounts over listed resources is kept as
+    loaded, and instance_from_pairs makes its amounts float; any other is
+    walked an entry at a time.  A usage naming a resource that is not
+    listed, a boolean or string amount, an integer beyond float range
+    (raised by instance_from_pairs when its mapping was kept as loaded),
+    a string congesting flag, notes that are not a list, or any other
+    shape, raises InstanceError."""
     try:
         resources = [
             (str(r["name"]), _number(r["capacity"]),
@@ -170,17 +189,16 @@ def walk_instance(raw):
         known = {name for name, _, _ in resources}
         operations = []
         for op in raw.get("operations", []):
-            # _number inlined, with the zero filter, in one pass per entry
             amounts = op.get("usage", {})
-            usage = {str(k): x for k, v in amounts.items()
-                     if (x := float(v) if v.__class__ not in _NOT_NUMBERS
-                         else _number(v)) != 0}
-            unknown = {str(k) for k in amounts.keys() - known} - known
-            if unknown:
-                raise InstanceError(
-                    f"operation {op.get('name')!r} uses unknown "
-                    f"resources {sorted(unknown)}")
-            operations.append((str(op["name"]), usage))
+            # C-level checks over the whole mapping, no Python per entry;
+            # all() of int and float amounts means none is zero
+            if not (amounts.__class__ is dict
+                    and _AMOUNT_TYPES.issuperset(
+                        map(type, values := amounts.values()))
+                    and all(values)
+                    and known.issuperset(amounts)):
+                amounts = _walk_usage(op, amounts, known)
+            operations.append((str(op["name"]), amounts))
         notes = raw.get("notes", [])
         if not isinstance(notes, (list, tuple)):
             raise TypeError(f"notes must be a list, got {notes!r}")
@@ -197,18 +215,25 @@ def instance_from_pairs(resources, operations,
                         extra_excluded=()) -> ResourceInstance:
     """Fill the usage matrix from (name, capacity, congesting) triples and
     (name, {resource-name: amount}) pairs in one assignment, then validate
-    it through instance_from_arrays."""
+    it through instance_from_arrays.  Amounts may be int or float; they
+    become float together, in one conversion."""
     res_names = [name for name, _, _ in resources]
     column = {name: j for j, name in enumerate(res_names)}
-    usage = np.zeros((len(operations), len(res_names)))
-    rows = np.repeat(np.arange(len(operations)),
-                     [len(amounts) for _, amounts in operations])
+    cols, values = [], []
     try:
-        cols = [column[k] for _, amounts in operations for k in amounts]
+        for _, amounts in operations:
+            cols += map(column.__getitem__, amounts)
+            values += amounts.values()
     except KeyError as exc:
         raise InstanceError(f"usage names unknown resource {exc}") from exc
-    usage[rows, cols] = [v for _, amounts in operations
-                         for v in amounts.values()]
+    try:
+        values = np.array(values, dtype=float)
+    except OverflowError as exc:    # an integer beyond float range
+        raise InstanceError(f"malformed instance file: {exc}") from exc
+    rows = np.repeat(np.arange(len(operations)),
+                     [len(amounts) for _, amounts in operations])
+    usage = np.zeros((len(operations), len(res_names)))
+    usage[rows, np.array(cols, dtype=np.intp)] = values
     return instance_from_arrays(
         [name for name, _ in operations], res_names, usage,
         [c for _, c, _ in resources], [flag for _, _, flag in resources],

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from gasloss import formats, model
+from gasloss.errors import InstanceError
 
 
 def random_instance(seed, max_ops=6, max_res=4):
@@ -96,3 +97,110 @@ def feasible_region_gas_max(instance):
     minimal-measure gas over the feasible region (two resources only)."""
     g = model.minimal_gas_measure(instance).costs
     return dual_vertex_oracle(instance.usage, instance.capacities, g)
+
+
+def reference_read(raw, extra_excluded=()):
+    """Per-entry reference for model.walk_instance + instance_from_pairs:
+    every amount goes through float() on its own (booleans and strings
+    refused), zeros are dropped, unknown resources refused, and the matrix
+    is filled one entry at a time before model.instance_from_arrays
+    validates it."""
+    try:
+        resources = []
+        for r in raw.get("resources", []):
+            name, capacity = str(r["name"]), r["capacity"]
+            if isinstance(capacity, (bool, str)):
+                raise TypeError(f"expected a number, got {capacity!r}")
+            flag = r.get("congesting", True)
+            if isinstance(flag, str):
+                raise TypeError(f"congesting must be true or false, "
+                                f"got {flag!r}")
+            resources.append((name, float(capacity), bool(flag)))
+        known = {name for name, _, _ in resources}
+        operations = []
+        for op in raw.get("operations", []):
+            amounts = op.get("usage", {})
+            usage = {}
+            for k, v in amounts.items():
+                if isinstance(v, (bool, str)):
+                    raise TypeError(f"expected a number, got {v!r}")
+                if float(v) != 0:
+                    usage[str(k)] = float(v)
+            unknown = {str(k) for k in amounts.keys() - known} - known
+            if unknown:
+                raise InstanceError(
+                    f"operation {op.get('name')!r} uses unknown "
+                    f"resources {sorted(unknown)}")
+            operations.append((str(op["name"]), usage))
+        notes = raw.get("notes", [])
+        if not isinstance(notes, (list, tuple)):
+            raise TypeError(f"notes must be a list, got {notes!r}")
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
+        if isinstance(exc, InstanceError):
+            raise
+        raise InstanceError(f"malformed instance file: {exc}") from exc
+    res_names = [name for name, _, _ in resources]
+    usage = np.zeros((len(operations), len(res_names)))
+    for i, (_, amounts) in enumerate(operations):
+        for k, v in amounts.items():
+            usage[i, res_names.index(k)] = v
+    return model.instance_from_arrays(
+        [name for name, _ in operations], res_names, usage,
+        [c for _, c, _ in resources], [flag for _, _, flag in resources],
+        extra_excluded)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+class TinyRng:
+    """Scalar splitmix64, one output per call: state += 0x9E3779B97F4A7C15;
+    z = state; z = (z ^ z>>30) * 0xBF58476D1CE4E5B9;
+    z = (z ^ z>>27) * 0x94D049BB133111EB; return z ^ z>>31."""
+
+    def __init__(self, seed: int):
+        self.state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def below(self, n: int) -> int:
+        return self.next_u64() % n
+
+    def uniform(self) -> float:
+        return self.next_u64() / 2.0 ** 64
+
+
+def reference_random_instance_doc(num_ops, num_resources, density=1.0,
+                                  seed=0):
+    """Scalar reference for formats.random_instance_doc, one draw at a
+    time: capacities 1 + below(10); per entry below(11), then, when
+    density < 1, one uniform that zeroes the entry when >= density; an
+    all-zero row is drawn again.  Returns the document and the number of
+    rows drawn again."""
+    rng = TinyRng(seed)
+    res_names = [f"res{j + 1}" for j in range(num_resources)]
+    capacities = [float(1 + rng.below(10)) for _ in range(num_resources)]
+    operations = []
+    rerolls = 0
+    for i in range(num_ops):
+        while True:
+            row = []
+            for _ in range(num_resources):
+                value = rng.below(11)
+                if density < 1 and rng.uniform() >= density:
+                    value = 0
+                row.append(float(value))
+            if any(row):
+                break
+            rerolls += 1
+        operations.append(
+            (f"op{i + 1}",
+             {rn: v for rn, v in zip(res_names, row) if v != 0}))
+    resources = [(n, c, True) for n, c in zip(res_names, capacities)]
+    return formats.InstanceDoc(resources, operations), rerolls

@@ -100,6 +100,12 @@ class TestMeasure:
         assert code == 2
         assert "no such instance file" in err
 
+    def test_directory_instance_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "measure", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot read {tmp_path}: Is a directory\n"
+
 
 class TestApprox:
     def test_table1_alpha(self, capsys, table1_path):
@@ -306,6 +312,20 @@ class TestHist:
         assert code == 2
         assert out == ""
         assert f"error: {problem} weight for operation 'Op1'" in err
+
+    def test_missing_profile_exits_2(self, capsys, table1_path, tmp_path):
+        code, out, err = run(capsys, "hist", table1_path,
+                             "--freq", str(tmp_path / "none.json"))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: no such profile file: {tmp_path}/none.json\n"
+
+    def test_directory_profile_exits_2(self, capsys, table1_path, tmp_path):
+        code, out, err = run(capsys, "hist", table1_path,
+                             "--freq", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot read {tmp_path}: Is a directory\n"
 
     @pytest.mark.parametrize("side, weight", [
         ("low", "NaN"), ("high", "Infinity"), ("low", "null"),

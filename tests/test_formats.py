@@ -1,13 +1,78 @@
 import hashlib
+import itertools
+import json
+import math
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from gasloss import formats, model
 from gasloss.errors import InstanceError
+from helpers import TinyRng, reference_random_instance_doc, reference_read
+
+
+# amounts of every JSON type, including ones the reader must refuse
+_GOOD_AMOUNTS = st.one_of(
+    st.integers(0, 12), st.floats(min_value=0, max_value=1e17),
+    st.sampled_from([0, 0.0, -0.0, 10**15, 10**16]))
+_ANY_AMOUNTS = st.one_of(
+    _GOOD_AMOUNTS,
+    st.sampled_from([-1, -0.5, math.nan, math.inf, True, False, "2", "0.5",
+                     None, 10**400, -(10**400)]))
+# valid mappings listed twice, so about a third of the documents are valid
+_USAGES = st.one_of(
+    st.dictionaries(st.sampled_from(["a", "b", "c"]), _GOOD_AMOUNTS,
+                    max_size=3),
+    st.dictionaries(st.sampled_from(["a", "b", "c"]), _GOOD_AMOUNTS,
+                    max_size=3),
+    st.dictionaries(st.sampled_from(["a", "b", "c", "zz"]), _ANY_AMOUNTS,
+                    max_size=4),
+    st.sampled_from([[], ["a"], "a", None, 3]))
+
+
+@st.composite
+def _documents(draw):
+    operations = [{"name": f"op{i}", "usage": draw(_USAGES)}
+                  for i in range(draw(st.integers(1, 4)))]
+    return {"resources": [{"name": "a", "capacity": 1},
+                          {"name": "b", "capacity": 2.5},
+                          {"name": "c", "capacity": 7}],
+            "operations": operations}
 
 
 class TestJsonFormat:
+    @given(doc=_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_read_matches_per_entry_reference(self, doc):
+        text = json.dumps(doc)
+        try:
+            expected = reference_read(json.loads(text))
+        except InstanceError:
+            with pytest.raises(InstanceError):
+                formats.parse_instance(text).to_instance()
+            return
+        got = formats.parse_instance(text).to_instance()
+        assert got.operation_names == expected.operation_names
+        assert got.warnings == expected.warnings
+        assert np.array_equal(got.usage, expected.usage)
+
+    def test_parsed_integer_amounts_serialize_as_floats(self):
+        doc = formats.parse_instance(
+            '{"resources": [{"name": "a", "capacity": 1},'
+            ' {"name": "b", "capacity": 2}, {"name": "c", "capacity": 3}],'
+            ' "operations": [{"name": "op", "usage": {"a": 3,'
+            ' "b": 1000000000000000, "c": 10000000000000000}}]}')
+        as_floats = formats.InstanceDoc(
+            doc.resources, [("op", {"a": 3.0, "b": 1e15, "c": 1e16})])
+        text = formats.serialize_instance(doc)
+        assert text == formats.serialize_instance(as_floats)
+        assert '"a": 3,' in text
+        assert '"b": 1000000000000000.0,' in text
+        assert '"c": 1e+16' in text
+
     def test_round_trip_is_identity(self):
         doc = formats.preset_doc("table1")
         text = formats.serialize_instance(doc)
@@ -142,9 +207,30 @@ class TestGenerators:
 
     def test_splitmix_reference_values(self):
         # first outputs for seed 0 of the documented splitmix64 stream
-        rng = formats.TinyRng(0)
-        assert rng.next_u64() == 0xE220A8397B1DCDAF
-        assert rng.next_u64() == 0x6E789E6AA1B965F4
+        assert formats.splitmix64(0, 0, 2).tolist() == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+        rng = TinyRng(0)
+        assert [rng.next_u64(), rng.next_u64()] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**63, 2**64 - 1, -1])
+    def test_splitmix_stream_matches_scalar(self, seed):
+        rng = TinyRng(seed)
+        expected = [rng.next_u64() for _ in range(50)]
+        assert formats.splitmix64(seed, 0, 50).tolist() == expected
+        assert formats.splitmix64(seed, 17, 33).tolist() == expected[17:]
+
+    def test_random_matches_scalar_reference(self):
+        rerolls = 0
+        for case in itertools.product((1, 2, 7, 60), (1, 3, 12),
+                                      (0.05, 0.3, 0.5, 1.0),
+                                      (0, 1, 2**64 - 1, 12345)):
+            doc, count = reference_random_instance_doc(*case)
+            rerolls += count
+            text = formats.serialize_instance(
+                formats.random_instance_doc(*case))
+            assert text == formats.serialize_instance(doc), case
+        assert rerolls > 0      # the grid exercises the re-roll branch
 
     def test_ecp_doc_round_trips_to_generator(self):
         doc = formats.ecp_instance_doc([1, 3, 2, 2], 0.1)
