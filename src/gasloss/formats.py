@@ -243,6 +243,7 @@ def random_instance_doc(num_ops: int, num_resources: int,
         rows.append(values)
         missing -= len(values)
     usage = np.concatenate(rows).astype(float).tolist()
+    # each row's nonzero amounts, keyed by their resources in order
     operations = [
         (f"op{i + 1}", dict(zip(compress(res_names, row), filter(None, row))))
         for i, row in enumerate(usage)]
