@@ -6,8 +6,10 @@ represent the instance (W' = W / B, the instance's normalized_usage).
 The loss of such a measure is the largest per-dimension loss, each the
 reciprocal of a zero-sum game value.  The factorization reported, in
 both CLI modes, is the one alternating_factorization derives from the
-best resource partition, which alternating updates cannot improve on;
-finding the globally optimal factorization is left open.  Every LP here
+best resource partition.  A row update from that partition's
+group-indicator R returns the partition's own A, so no alternating round
+runs.  That is no optimality claim: a fractional R can give a lower
+loss, and finding the optimal factorization is left open.  Every LP here
 is an lpcore.loss_lp.
 """
 

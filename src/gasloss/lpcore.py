@@ -93,10 +93,11 @@ class LossSolution:
 
 
 def _pivot(T, basis, row, col):
-    T[row] /= T[row, col]
+    prow = T[row]
+    prow /= prow[col]
     colvals = T[:, col].copy()
     colvals[row] = 0.0
-    T -= np.outer(colvals, T[row])
+    T -= colvals[:, None] * prow
     # kill round-off in the pivot column
     T[:, col] = 0.0
     T[row, col] = 1.0
@@ -110,28 +111,30 @@ def _run_simplex(T, basis):
     right-hand side in the last column.  Returns "optimal" or "unbounded".
     """
     m = T.shape[0] - 1
+    # views: every pivot updates T in place
+    red = T[-1, :-1]
+    rhs = T[:m, -1]
     degenerate = 0
     use_bland = False
     for _ in range(MAX_ITERATIONS):
-        red = T[-1, :-1]
         if use_bland:
-            candidates = np.flatnonzero(red < -PIVOT_TOL)
-            if candidates.size == 0:
+            # the first improving column
+            col = (red < -PIVOT_TOL).argmax()
+            if not red[col] < -PIVOT_TOL:
                 return "optimal"
-            col = candidates[0]
         else:
-            col = int(np.argmin(red))
+            col = red.argmin()
             if red[col] >= -FEAS_TOL:
                 return "optimal"
         column = T[:m, col]
-        rows = np.flatnonzero(column > PIVOT_TOL)
+        rows = (column > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return "unbounded"
-        ratios = T[rows, -1] / column[rows]
+        ratios = rhs[rows] / column[rows]
         best = ratios.min()
         ties = rows[ratios <= best + PIVOT_TOL]
         # lowest basis index among ties (Bland-compatible leaving rule)
-        row = ties[int(np.argmin(basis[ties]))]
+        row = ties[0] if ties.size == 1 else ties[basis[ties].argmin()]
         if best <= PIVOT_TOL:
             degenerate += 1
             if degenerate > DEGENERATE_BUDGET:
@@ -156,11 +159,12 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     ceq = np.zeros(n + m)
     ceq[:n] = -lp.objective     # the tableau minimizes
     T = np.zeros((m + 1, n + m + 1))
+    slack_rows = np.arange(m)
+    basis = n + slack_rows
     T[:m, :n] = a
-    T[:m, n:-1] = np.eye(m)
+    T[slack_rows, basis] = 1.0
     T[:m, -1] = b
     T[-1, :-1] = ceq
-    basis = n + np.arange(m)
     if _run_simplex(T, basis) == "unbounded":
         return LPResult("unbounded", np.nan, np.full(n, np.nan),
                         np.full(m, np.nan))

@@ -64,7 +64,10 @@ class _GroupLosses:
     """Exact group losses of one instance and their witness blocks, by
     resource bitmask.  A block's loss and witness are its connected
     components' summed, so only a connected block can cost an LP; a block
-    that no operation uses has loss 1.
+    that no operation uses has loss 1.  A disconnected block's witness is
+    summed only when witness() asks for it.  A block pruned at a cutoff
+    keeps its certified lower bound, which prunes it again at any cutoff
+    below that bound with no scan.
 
     Operation i is private to resource j in block S when j is the only
     resource of S that i uses.  The dual y = 1_S is feasible, so
@@ -94,7 +97,10 @@ class _GroupLosses:
                 kept = self.private[j]
                 if all(o & ~others for o, _ in kept):
                     kept.append((others, i))
-        self.entries = {}   # mask -> (loss, witness over all operations)
+        # mask -> (loss, witness over all operations); the witness of a
+        # disconnected block is None until witness() sums it
+        self.entries = {}
+        self.lower = {}     # mask -> certified lower bound of a pruned block
         # the witness b of every connected block settled, by certificate
         # or LP, and its loads b @ W', for the bounds
         self.witnesses = np.empty((8, self.usage.shape[0]))
@@ -145,33 +151,39 @@ class _GroupLosses:
     def loss(self, mask, cutoff=np.inf):
         """alpha of the block; where the private count or a witness
         certifies, before an LP, that it exceeds a finite cutoff, that
-        lower bound instead, which is never cached."""
+        lower bound instead, which goes to lower, never to entries."""
         entry = self.entries.get(mask)
         if entry is not None:
             return entry[0]
+        # a remembered bound is at most a fresh one (the witness pool only
+        # grows), so it prunes only blocks that a fresh scan would prune
+        bound = self.lower.get(mask, -np.inf)
+        if bound > cutoff:
+            return bound
         live = mask & self.used
         part = self._component(live)
         if not live:
             entry = (1.0, np.zeros(self.usage.shape[0]))
         elif part == mask:      # connected: a certificate or one LP
             found = self._private_ops(mask, cutoff)
-            witness = np.zeros(self.usage.shape[0])
             if len(found) == mask.bit_count():
+                witness = np.zeros(self.usage.shape[0])
                 for j, i in found:
                     witness[i] = 1.0 / self.usage[i, j]
                 entry = (float(len(found)), witness)
             else:
                 # the private count, then the witnesses, bound alpha below
-                if len(found) > cutoff:
-                    return float(len(found))
-                if cutoff < np.inf:
+                bound = float(len(found))
+                if bound <= cutoff < np.inf:
                     bound = self._bound(mask)
-                    if bound > cutoff:
-                        return bound
+                if bound > cutoff:
+                    self.lower[mask] = bound
+                    return bound
                 sub = self.usage[:, _members(mask)]
                 rows = np.flatnonzero(np.any(sub > 0, axis=1))
                 sub = sub[rows]
                 sol = lpcore.loss_lp(sub.max(axis=1), sub)
+                witness = np.zeros(self.usage.shape[0])
                 witness[rows] = sol.x
                 entry = (sol.alpha, witness)
             if self.size == len(self.witnesses):
@@ -183,17 +195,31 @@ class _GroupLosses:
             self.loads[self.size] = witness @ self.usage
             self.size += 1
         else:
-            # alpha and witness add over the component and the rest, and
-            # a resource no operation uses adds nothing
-            entry = (0.0, 0.0)
+            # alpha adds over the component and the rest, and a resource
+            # no operation uses adds nothing
+            total = 0.0
             for p in (part, live ^ part):
                 if p:
                     loss = self.loss(p, cutoff)
                     if p not in self.entries:
                         return loss     # alpha(S) >= alpha(p) > cutoff
-                    entry = (entry[0] + loss, entry[1] + self.entries[p][1])
+                    total += loss
+            entry = (total, None)
         self.entries[mask] = entry
         return entry[0]
+
+    def witness(self, mask):
+        """The witness block of a block whose loss is cached: a feasible
+        x over all operations with gas equal to that loss."""
+        witness = self.entries[mask][1]
+        if witness is None:
+            live = mask & self.used
+            part = self._component(live)
+            witness = 0.0
+            for p in (part, live ^ part):
+                if p:
+                    witness = witness + self.witness(p)
+        return witness
 
 
 def _check_partition(n, groups):

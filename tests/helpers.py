@@ -204,3 +204,81 @@ def reference_random_instance_doc(num_ops, num_resources, density=1.0,
              {rn: v for rn, v in zip(res_names, row) if v != 0}))
     resources = [(n, c, True) for n, c in zip(res_names, capacities)]
     return formats.InstanceDoc(resources, operations), rerolls
+
+
+def reference_pivot(T, basis, row, col):
+    """The simplex pivot as first written, np.outer and all; the
+    reference that lpcore._pivot must match bit for bit."""
+    T[row] /= T[row, col]
+    colvals = T[:, col].copy()
+    colvals[row] = 0.0
+    T -= np.outer(colvals, T[row])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    basis[row] = col
+
+
+def reference_run_simplex(T, basis):
+    """The simplex loop as first written, one numpy wrapper call per
+    step; lpcore._run_simplex must leave T and basis bit-identical.
+    Reads lpcore's tolerances and budgets, so a monkeypatch of them
+    reaches both."""
+    from gasloss import lpcore
+    from gasloss.errors import NumericalFailure
+    m = T.shape[0] - 1
+    degenerate = 0
+    use_bland = False
+    for _ in range(lpcore.MAX_ITERATIONS):
+        red = T[-1, :-1]
+        if use_bland:
+            candidates = np.flatnonzero(red < -lpcore.PIVOT_TOL)
+            if candidates.size == 0:
+                return "optimal"
+            col = candidates[0]
+        else:
+            col = int(np.argmin(red))
+            if red[col] >= -lpcore.FEAS_TOL:
+                return "optimal"
+        column = T[:m, col]
+        rows = np.flatnonzero(column > lpcore.PIVOT_TOL)
+        if rows.size == 0:
+            return "unbounded"
+        ratios = T[rows, -1] / column[rows]
+        best = ratios.min()
+        ties = rows[ratios <= best + lpcore.PIVOT_TOL]
+        row = ties[int(np.argmin(basis[ties]))]
+        if best <= lpcore.PIVOT_TOL:
+            degenerate += 1
+            if degenerate > lpcore.DEGENERATE_BUDGET:
+                use_bland = True
+        else:
+            degenerate = 0
+        reference_pivot(T, basis, row, col)
+    raise NumericalFailure("simplex iteration limit exceeded")
+
+
+def reference_tableau(lp):
+    """The slack-basis tableau and basis of lpcore.solve_lp, built with
+    np.eye as first written."""
+    a, b = lp.matrix, lp.bounds
+    m, n = a.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = a
+    T[:m, n:-1] = np.eye(m)
+    T[:m, -1] = b
+    T[-1, :n] = -lp.objective
+    return T, n + np.arange(m)
+
+
+def reference_solve_lp(lp):
+    """(status, value, x, y) of lpcore.solve_lp, before its certificate
+    check, computed with the reference tableau and loop."""
+    m, n = lp.matrix.shape
+    T, basis = reference_tableau(lp)
+    ceq = T[-1, :-1].copy()
+    status = reference_run_simplex(T, basis)
+    if status == "unbounded":
+        return status, None, None, None
+    x_full = np.zeros(n + m)
+    x_full[basis] = T[:m, -1]
+    return status, -float(ceq @ x_full), x_full[:n], T[-1, n:-1]

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from gasloss import approx, factorize, hist, lpcore, model, partition
 from gasloss.errors import NumericalFailure
 from gasloss.lpcore import GameSolution, LinearProgram
-from helpers import random_instance
+from helpers import (random_instance, reference_run_simplex,
+                     reference_solve_lp, reference_tableau)
 
 
 def _random_solvable_lp(rng, n, m):
@@ -78,6 +79,89 @@ class TestSolveLP:
             with np.errstate(all="ignore"), pytest.raises(
                     (NumericalFailure, ValueError)):
                 lpcore.solve_lp(LinearProgram([1.0], [[1.0]], [bad]))
+
+
+# Beale's cycling example: the largest-coefficient rule with the
+# lowest-index leaving row cycles among degenerate bases
+BEALE = LinearProgram([0.75, -20.0, 0.5, -6.0],
+                      [[0.25, -8.0, -1.0, 9.0],
+                       [0.5, -12.0, -0.5, 3.0],
+                       [0.0, 0.0, 1.0, 0.0]],
+                      [0.0, 0.0, 1.0])
+
+
+def _pivot_loop_lps(rng):
+    """Random LPs for the pivot-loop reference: dense, sparse, with zero
+    right-hand sides, and with duplicated columns and rows; small
+    integer data makes ratio ties and degenerate pivots common."""
+    lps = []
+    for i in range(240):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        kind = i % 4
+        if kind == 0:       # dense
+            lps.append(LinearProgram(rng.normal(size=n),
+                                     rng.normal(size=(m, n)),
+                                     rng.random(m) + 0.1))
+            continue
+        a = rng.integers(-2, 4, size=(m, n)).astype(float)
+        b = rng.integers(0, 3, size=m).astype(float)
+        if kind == 1:       # sparse
+            a *= rng.random((m, n)) < 0.3
+        elif kind == 2:
+            b[:] = 0.0
+        else:               # duplicated columns and rows
+            a = a[:, rng.integers(0, n, size=n + 2)]
+            keep = rng.integers(0, m, size=m + 2)
+            a, b = a[keep], b[keep]
+        c = rng.integers(-2, 4, size=a.shape[1]).astype(float)
+        lps.append(LinearProgram(c, a, b))
+    return lps + [BEALE]
+
+
+class TestPivotLoop:
+    def test_beale_needs_blands_rule(self):
+        res = lpcore.solve_lp(BEALE)
+        assert res.status == "optimal"
+        assert res.value == pytest.approx(1.25, abs=1e-12)
+        assert np.allclose(res.x, [1.0, 0.0, 1.0, 0.0], rtol=0, atol=1e-12)
+
+    def test_beale_cycles_without_blands_rule(self, monkeypatch):
+        monkeypatch.setattr(lpcore, "DEGENERATE_BUDGET",
+                            lpcore.MAX_ITERATIONS + 1)
+        with pytest.raises(NumericalFailure,
+                           match="simplex iteration limit exceeded"):
+            lpcore.solve_lp(BEALE)
+
+    def test_matches_the_reference_loop_bit_for_bit(self, monkeypatch):
+        tableaus = []
+        simplex = lpcore._run_simplex
+
+        def record(T, basis):
+            tableaus.append((T.copy(), basis.copy()))
+            return simplex(T, basis)
+
+        monkeypatch.setattr(lpcore, "_run_simplex", record)
+        statuses = {"optimal": 0, "unbounded": 0}
+        for lp in _pivot_loop_lps(np.random.default_rng(30)):
+            tableaus.clear()
+            status, value, x, y = reference_solve_lp(lp)
+            statuses[status] += 1
+            res = lpcore.solve_lp(lp)
+            assert res.status == status
+            if status == "optimal":
+                assert res.value == value
+                assert np.array_equal(res.x, x)
+                assert np.array_equal(res.y, y)
+            # the same slack-basis tableau, then the same pivots
+            T, basis = reference_tableau(lp)
+            assert np.array_equal(tableaus[0][0], T)
+            assert np.array_equal(tableaus[0][1], basis)
+            T_ref, basis_ref = T.copy(), basis.copy()
+            assert simplex(T, basis) == reference_run_simplex(
+                T_ref, basis_ref) == status
+            assert np.array_equal(T, T_ref)
+            assert np.array_equal(basis, basis_ref)
+        assert min(statuses.values()) > 20
 
 
 class TestProductionLPs:

@@ -269,7 +269,7 @@ class TestSearchStructure:
 
     def test_witnesses_certify_their_losses(self):
         rng = np.random.default_rng(6)
-        certified = 0
+        certified = summed = 0
         for inst in structured_instances():
             cache = partition._GroupLosses(inst)
             n = inst.num_resources
@@ -278,18 +278,28 @@ class TestSearchStructure:
             masks = random_masks(rng, n, 10) | {1 << j for j in range(n)}
             for mask in masks:
                 live = mask & cache.used
-                certified += (live == mask and cache._component(mask) == mask
+                part = cache._component(live)
+                certified += (live == mask and part == mask
                               and len(cache._private_ops(mask, np.inf))
                               == mask.bit_count())
                 loss = cache.loss(mask)
-                witness = cache.entries[mask][1]
+                witness = cache.witness(mask)
                 sub = inst.normalized_usage[:, partition._members(mask)]
                 assert np.all(witness >= 0)
                 assert np.all(witness @ sub <= 1 + 1e-9)
                 if np.any(sub > 0):
                     assert witness @ sub.max(axis=1) == pytest.approx(
                         loss, rel=1e-9)
+                if live and part != mask:
+                    # a disconnected block's witness is its components'
+                    # summed, in the order component, then the rest
+                    rest = live ^ part
+                    expected = cache.witness(part) + (
+                        cache.witness(rest) if rest else 0.0)
+                    assert np.array_equal(witness, expected)
+                    summed += 1
         assert certified > 150
+        assert summed > 50
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -358,6 +368,55 @@ class TestSearchStructure:
                         inst, partition._members(mask))
                 assert loss == pytest.approx(fresh[id(inst), mask],
                                              rel=1e-12)
+
+    @pytest.mark.parametrize("ops, density, seed",
+                             [(30, 1.0, s) for s in (0, 1, 2, 4)]
+                             + [(100, 0.5, s) for s in range(3)])
+    def test_remembered_bounds_change_no_decision(self, monkeypatch,
+                                                  lp_calls, ops, density,
+                                                  seed):
+        inst = formats.random_instance_doc(ops, 10, density,
+                                           seed).to_instance()
+        caches, bound_calls = [], []
+        init, bound = partition._GroupLosses.__init__, \
+            partition._GroupLosses._bound
+
+        def track(self, instance):
+            init(self, instance)
+            caches.append(self)
+
+        def counted(self, mask):
+            bound_calls.append(mask)
+            return bound(self, mask)
+
+        monkeypatch.setattr(partition._GroupLosses, "__init__", track)
+        monkeypatch.setattr(partition._GroupLosses, "_bound", counted)
+        plan = partition.optimal_partition_exact(inst, 3)
+        lps, bounds = len(lp_calls), len(bound_calls)
+        if density == 1.0:
+            assert bounds <= 1000
+        cache = caches[-1]
+        for mask, low in cache.lower.items():
+            assert low <= reference_group_loss(
+                inst, partition._members(mask)) * (1 + 1e-9)
+
+        class Forgetful(dict):
+            def __setitem__(self, mask, value):
+                pass
+
+        def forgetful(self, instance):
+            init(self, instance)
+            self.lower = Forgetful()
+
+        monkeypatch.setattr(partition._GroupLosses, "__init__", forgetful)
+        lp_calls.clear()
+        bound_calls.clear()
+        plain = partition.optimal_partition_exact(inst, 3)
+        assert plain.groups == plan.groups
+        assert np.array_equal(plain.per_group_losses, plan.per_group_losses)
+        assert len(lp_calls) == lps
+        if cache.lower:
+            assert len(bound_calls) > bounds
 
     @pytest.mark.parametrize("k", (2, 3))
     def test_ecp_search_solves_one_lp_per_connected_block(self, lp_calls, k):
