@@ -16,7 +16,9 @@ order, and the amounts are made floats together when the usage matrix is
 filled (model.instance_from_pairs).  Serialization is canonical (two-space
 indent, keys in schema order, usage keys in resource order, zero usages
 omitted, integral amounts below 1e15 written as ints), so serialize ->
-parse -> serialize is byte identical.
+parse -> serialize is byte identical.  It writes the canonical text
+directly, byte-identical to json.dumps(..., indent=2), encoding each
+resource name and each distinct amount once.
 
 A simple delimited-table import is also supported: a header row with
 the resource names, one row per operation, and a final "capacity" row.
@@ -109,19 +111,48 @@ def _format_number(x):
 
 def serialize_instance(doc: InstanceDoc) -> str:
     """Canonical text: two-space indent, keys in schema order, usage keys
-    in resource order."""
+    in resource order.  The text is built directly, byte-identical to
+    json.dumps(..., indent=2) of the same document plus a newline, without
+    that call's pure-Python encoder: each resource name and each distinct
+    amount is encoded once."""
+    texts = {}      # amount -> its JSON text; equal amounts write the same
+
+    def number(value):
+        try:
+            text = texts[value] = json.dumps(_format_number(value))
+        except OverflowError as exc:    # an integer beyond float range
+            raise InstanceError(f"malformed instance file: {exc}") from exc
+        return text
+
     rank = {name: j for j, (name, _, _) in enumerate(doc.resources)}
-    out = {}
-    if doc.notes:
-        out["notes"] = list(doc.notes)
-    out["resources"] = [
-        {"name": n, "capacity": _format_number(c), "congesting": flag}
+    key = {name: "        " + json.dumps(name) + ": "
+           for name, _, _ in doc.resources}
+    resources = [
+        f'    {{\n      "name": {json.dumps(n)},\n'
+        f'      "capacity": {texts.get(c) or number(c)},\n'
+        f'      "congesting": {json.dumps(flag)}\n    }}'
         for n, c, flag in doc.resources]
-    out["operations"] = [
-        {"name": n, "usage": {k: _format_number(u[k])
-                              for k in sorted(u, key=rank.__getitem__)}}
+    operations = [
+        f'    {{\n      "name": {json.dumps(n)},\n      "usage": '
+        + _json_block([key[k] + (texts.get(u[k]) or number(u[k]))
+                       for k in sorted(u, key=rank.__getitem__)], "{}", 6)
+        + "\n    }"
         for n, u in doc.operations]
-    return json.dumps(out, indent=2) + "\n"
+    head = "{\n"
+    if doc.notes:
+        notes = ["    " + json.dumps(s) for s in doc.notes]
+        head += f'  "notes": {_json_block(notes, "[]", 2)},\n'
+    return (f'{head}  "resources": {_json_block(resources, "[]", 2)},\n'
+            f'  "operations": {_json_block(operations, "[]", 2)}\n}}\n')
+
+
+def _json_block(lines, brackets, indent):
+    """A JSON list or object of already indented member lines, closed at
+    `indent` spaces; an empty one is written as its two brackets."""
+    if not lines:
+        return brackets
+    return (brackets[0] + "\n" + ",\n".join(lines) + "\n" + " " * indent
+            + brackets[1])
 
 
 def load_instance_doc(path) -> InstanceDoc:

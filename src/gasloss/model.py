@@ -100,16 +100,18 @@ def instance_from_arrays(operation_names, resource_names, usage, capacities,
         congesting = [True] * len(res_names)
     if len(congesting) != len(res_names):
         raise InstanceError("one congesting flag per resource required")
-    unknown = set(extra_excluded) - set(res_names)
+    extra_excluded = set(extra_excluded)
+    unknown = extra_excluded - set(res_names)
     if unknown:
         raise InstanceError(f"unknown resource names to exclude: {sorted(unknown)}")
     excluded = tuple(
         name for name, flag in zip(res_names, congesting)
-        if not flag or name in set(extra_excluded))
-    keep = [j for j, name in enumerate(res_names) if name not in excluded]
-    res_names = [res_names[j] for j in keep]
-    usage = usage[:, keep]
-    capacities = capacities[keep]
+        if not flag or name in extra_excluded)
+    if excluded:
+        keep = [j for j, name in enumerate(res_names) if name not in excluded]
+        res_names = [res_names[j] for j in keep]
+        usage = usage[:, keep]
+        capacities = capacities[keep]
 
     if not res_names:
         raise InstanceError("no congesting resources remain")
@@ -282,6 +284,7 @@ def gas_of(g: GasMeasure, x) -> float:
 
 
 def max_block_size(instance: ResourceInstance) -> SizeReport:
-    """Largest 1-norm of any feasible block, by LP."""
+    """Largest 1-norm of any feasible block, by LP.  Library API: no CLI
+    verb calls it; tests/test_model.py covers it."""
     return SizeReport(K=lpcore.loss_lp(np.ones(instance.num_operations),
                                        instance.normalized_usage).alpha)

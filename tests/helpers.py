@@ -2,6 +2,7 @@
 brute-force oracles kept deliberately separate from the library code."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -149,6 +150,25 @@ def reference_read(raw, extra_excluded=()):
         [name for name, _ in operations], res_names, usage,
         [c for _, c, _ in resources], [flag for _, _, flag in resources],
         extra_excluded)
+
+
+def reference_serialize_instance(doc):
+    """formats.serialize_instance as first written, through
+    json.dumps(..., indent=2); the serializer must match it byte for
+    byte."""
+    rank = {name: j for j, (name, _, _) in enumerate(doc.resources)}
+    out = {}
+    if doc.notes:
+        out["notes"] = list(doc.notes)
+    out["resources"] = [
+        {"name": n, "capacity": formats._format_number(c),
+         "congesting": flag}
+        for n, c, flag in doc.resources]
+    out["operations"] = [
+        {"name": n, "usage": {k: formats._format_number(u[k])
+                              for k in sorted(u, key=rank.__getitem__)}}
+        for n, u in doc.operations]
+    return json.dumps(out, indent=2) + "\n"
 
 
 _MASK64 = (1 << 64) - 1

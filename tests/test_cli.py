@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -397,6 +398,19 @@ class TestGen:
                              "--out", str(target))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("random", "--ops", "400", "--resources", "100", "--density", "0.3",
+          "--seed", "6"),
+         "22e7100c2c4b98e1b2cc95c4595fca95b7c375a5221840b87d66255824b8bdd9"),
+        (("preset", "--preset", "table1"),
+         "8a4e7d52c8dfd323e298dfc56e8c2adeaec2e27e343e138067973e340f930a19"),
+    ], ids=["random-400x100-sparse", "table1"])
+    def test_stdout_is_pinned_bytes(self, capsys, argv, digest):
+        # digests of tests/test_formats.py::test_generated_files_pinned
+        code, out, err = run(capsys, "gen", *argv, "--out", "-")
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_preset_round_trip(self, capsys, tmp_path):
         out_path = tmp_path / "t1.json"

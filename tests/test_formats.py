@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from gasloss import formats, model
 from gasloss.errors import InstanceError
-from helpers import TinyRng, reference_random_instance_doc, reference_read
+from helpers import (TinyRng, reference_random_instance_doc, reference_read,
+                     reference_serialize_instance)
 
 
 # amounts of every JSON type, including ones the reader must refuse
@@ -41,6 +42,12 @@ def _documents(draw):
                           {"name": "b", "capacity": 2.5},
                           {"name": "c", "capacity": 7}],
             "operations": operations}
+
+
+# (num_ops, num_resources, density, seed) cases of the random generator
+_GENERATOR_GRID = list(itertools.product((1, 2, 7, 60), (1, 3, 12),
+                                         (0.05, 0.3, 0.5, 1.0),
+                                         (0, 1, 2**64 - 1, 12345)))
 
 
 class TestJsonFormat:
@@ -126,6 +133,101 @@ class TestJsonFormat:
         assert full.resource_names == deleted.resource_names
         assert np.array_equal(full.usage, deleted.usage)
         assert full.excluded_resources == ("b",)
+
+
+_NASTY_NAMES = ['q"uote', "back\\slash", "ctl\x01\t\n", "caf\u00e9",
+                "line\u2028sep"]
+_EDGE_AMOUNTS = [0.1, 1e15 - 1, 1e15, 1e16, -0.0, 5e-324, 2**53 + 1,
+                 math.nan, math.inf, -math.inf, 3, 3.0, True]
+
+
+def _edge_docs():
+    """Hand-built documents at the corners of JSON's indent rules."""
+    res = [(name, 1.0, True) for name in _NASTY_NAMES]
+    yield formats.InstanceDoc([], [])
+    yield formats.InstanceDoc([], [], ["only a note"])
+    yield formats.InstanceDoc([("a", 2.0, False)], [])
+    yield formats.InstanceDoc([], [("op", {})])
+    yield formats.InstanceDoc(
+        res, [(name, {name: 1.0}) for name in _NASTY_NAMES],
+        ["note with \"quotes\", \\ and \u00e9", "second\u2028line"])
+    yield formats.InstanceDoc(
+        [("a", 5.0, True), ("b", 0.5, False)],
+        [("empty", {}), ("full", {"b": 2, "a": 1}), ("tail", {})])
+    for amount in _EDGE_AMOUNTS:
+        yield formats.InstanceDoc(
+            [("a", amount, True), ("b", 1.0, amount != 0)],
+            [("op", {"b": amount, "a": amount})], ["n"])
+    yield formats.InstanceDoc(
+        [("a", 1.0, True)],
+        [(f"op{i}", {"a": amount}) for i, amount in enumerate(_EDGE_AMOUNTS)])
+
+
+_NAMES = st.text(max_size=6)
+_AMOUNTS = st.one_of(st.integers(-2**70, 2**70), st.floats(),
+                     st.sampled_from([0, -0.0, 1e15, 1e16, 10**15, 2**53 + 1]))
+
+
+@st.composite
+def _any_docs(draw):
+    names = draw(st.lists(_NAMES, max_size=4, unique=True))
+    resources = [(n, draw(_AMOUNTS), draw(st.booleans())) for n in names]
+    usages = (st.dictionaries(st.sampled_from(names), _AMOUNTS)
+              if names else st.just({}))
+    operations = draw(st.lists(st.tuples(_NAMES, usages), max_size=4))
+    return formats.InstanceDoc(resources, operations,
+                               draw(st.lists(_NAMES, max_size=2)))
+
+
+class TestSerializer:
+    """serialize_instance writes the bytes json.dumps(..., indent=2)
+    writes (helpers.reference_serialize_instance)."""
+
+    def test_generated_docs_match_reference(self):
+        docs = [formats.random_instance_doc(*case) for case in _GENERATOR_GRID]
+        docs += [formats.preset_doc(n) for n in ("table1", "table3",
+                                                  "figure1")]
+        docs += [formats.ecp_instance_doc(s, 0.5 / sum(s))
+                 for s in ([1, 3, 2, 2], [1, 1], [5, 1, 2, 4, 3, 1],
+                           [2, 7, 1, 8, 2, 8])]
+        for doc in docs:
+            assert (formats.serialize_instance(doc)
+                    == reference_serialize_instance(doc))
+
+    def test_parsed_docs_match_reference(self):
+        for text in (
+                '{"notes": ["x"], "resources": [{"name": "a", "capacity": 4},'
+                ' {"name": "b", "capacity": 2.5, "congesting": false}],'
+                ' "operations": [{"name": "op", "usage": {"b": 7, "a": 3}},'
+                ' {"name": "op2", "usage": {"a": 9007199254740993}}]}',
+                formats.serialize_instance(
+                    formats.random_instance_doc(40, 9, 0.5, 3))):
+            doc = formats.parse_instance(text)
+            assert (formats.serialize_instance(doc)
+                    == reference_serialize_instance(doc))
+
+    def test_edge_docs_match_reference(self):
+        for doc in _edge_docs():
+            assert (formats.serialize_instance(doc)
+                    == reference_serialize_instance(doc)), doc
+
+    @given(doc=_any_docs())
+    @settings(max_examples=300, deadline=None)
+    def test_any_doc_matches_reference(self, doc):
+        assert (formats.serialize_instance(doc)
+                == reference_serialize_instance(doc))
+
+    def test_int_beyond_float_range_rejected(self):
+        doc = formats.parse_instance(
+            '{"resources": [{"name": "a", "capacity": 1}],'
+            ' "operations": [{"name": "op", "usage": {"a": 1' + "0" * 400
+            + '}}]}')
+        with pytest.raises(InstanceError) as read:
+            doc.to_instance()
+        with pytest.raises(InstanceError) as written:
+            formats.serialize_instance(doc)
+        assert str(written.value) == str(read.value) == (
+            "malformed instance file: int too large to convert to float")
 
 
 class TestTableFormat:
@@ -222,9 +324,7 @@ class TestGenerators:
 
     def test_random_matches_scalar_reference(self):
         rerolls = 0
-        for case in itertools.product((1, 2, 7, 60), (1, 3, 12),
-                                      (0.05, 0.3, 0.5, 1.0),
-                                      (0, 1, 2**64 - 1, 12345)):
+        for case in _GENERATOR_GRID:
             doc, count = reference_random_instance_doc(*case)
             rerolls += count
             text = formats.serialize_instance(
