@@ -1,9 +1,12 @@
 """Command-line surface tying the analysis modules together.
 
-Verbs: measure, approx, partition, factorize, hist, gen.  Reports go to
-stdout (human-readable, or a JSON document with --json); warnings and
-diagnostics go to stderr.  Exit codes: 0 success, 2 input error,
-3 numerical failure, 4 capability limit.
+Verbs: measure, approx, partition, factorize, hist, gen.  Each analysis
+verb's handler (cmd_<verb>) returns one payload dict; _report prints that
+payload to stdout as a JSON document under --json, or as the lines of the
+verb's text renderer (_text_<verb>), which reads only the payload.
+Warnings and diagnostics go to stderr.  Exit codes: 0 success, otherwise
+the exit_code of the error class raised (2 input error, 3 numerical
+failure, 4 capability limit).
 """
 
 import argparse
@@ -13,12 +16,7 @@ import sys
 import numpy as np
 
 from . import approx, factorize, formats, hist, model, partition
-from .errors import InstanceError, NumericalFailure, TooManyResources
-
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_NUMERICAL = 3
-EXIT_LIMIT = 4
+from .errors import GaslossError, InstanceError
 
 
 def _fmt(x) -> str:
@@ -27,15 +25,6 @@ def _fmt(x) -> str:
 
 def _vec(v) -> str:
     return "(" + ", ".join(_fmt(x) for x in np.asarray(v).ravel()) + ")"
-
-
-def _emit_warnings(instance):
-    for line in instance.warnings:
-        print(f"warning: {line}", file=sys.stderr)
-    if instance.excluded_resources:
-        names = ", ".join(instance.excluded_resources)
-        print(f"note: unpriced (excluded) resources: {names}",
-              file=sys.stderr)
 
 
 def _load(args):
@@ -47,73 +36,85 @@ def _load(args):
     instance = doc.to_instance(extra_excluded=excluded)
     for note in doc.notes:
         print(f"note: {note}", file=sys.stderr)
-    _emit_warnings(instance)
+    for line in instance.warnings:
+        print(f"warning: {line}", file=sys.stderr)
+    if instance.excluded_resources:
+        names = ", ".join(instance.excluded_resources)
+        print(f"note: unpriced (excluded) resources: {names}",
+              file=sys.stderr)
     return instance
 
 
-def _print_json(payload):
-    print(json.dumps(payload, indent=2))
-
-
-def _instance_summary(instance):
-    return {
+def _report(args) -> int:
+    """Run an analysis verb on its instance and print the verb's payload,
+    as a JSON document under --json and through its text renderer
+    otherwise."""
+    instance = _load(args)
+    payload = {"instance": {
         "operations": list(instance.operation_names),
         "resources": list(instance.resource_names),
         "excluded_resources": list(instance.excluded_resources),
         "warnings": list(instance.warnings),
-    }
+    }}
+    payload.update(args.handler(instance, args))
+    if args.json:
+        print(json.dumps(payload, indent=2))
+    else:
+        for line in args.render(payload):
+            print(line)
+    return 0
 
 
-def cmd_measure(args) -> int:
-    instance = _load(args)
+def cmd_measure(instance, args) -> dict:
     g = model.minimal_gas_measure(instance)
     attains = [instance.resource_names[int(j)]
                for j in np.argmax(instance.normalized_usage, axis=1)]
-    if args.json:
-        _print_json({
-            "instance": _instance_summary(instance),
-            "measure": {name: cost for name, cost
-                        in zip(instance.operation_names, g.costs.tolist())},
-            "attaining_resource": dict(zip(instance.operation_names, attains)),
-        })
-    else:
-        for name, cost, res in zip(instance.operation_names, g.costs, attains):
-            print(f"{name}: g = {_fmt(cost)}  (binding resource: {res})")
-    return EXIT_OK
-
-
-def cmd_approx(args) -> int:
-    instance = _load(args)
-    report = approx.approximability(instance, with_oracle=args.oracle)
-    if args.json:
-        payload = {
-            "instance": _instance_summary(instance),
-            "alpha": report.alpha,
-            "game_value": report.game.value,
-            "row_strategy": report.game.row_strategy.tolist(),
-            "col_strategy": report.game.col_strategy.tolist(),
-            "measure": report.measure.costs.tolist(),
-            "witness_block": report.witness.tolist(),
-        }
-        if report.oracle_alpha is not None:
-            payload["oracle_alpha"] = report.oracle_alpha
-            payload["oracle_gap"] = abs(report.oracle_alpha - report.alpha)
-        _print_json(payload)
-    else:
-        print(f"alpha = {_fmt(report.alpha)}  (game value "
-              f"{_fmt(report.game.value)})")
-        print(f"row strategy  x* = {_vec(report.game.row_strategy)}")
-        print(f"col strategy  y* = {_vec(report.game.col_strategy)}")
-        print(f"witness block    = {_vec(report.witness)} "
-              f"(gas = {_fmt(model.gas_of(report.measure, report.witness))})")
-        if report.oracle_alpha is not None:
-            print(f"oracle alpha = {_fmt(report.oracle_alpha)}  "
-                  f"(gap {_fmt(abs(report.oracle_alpha - report.alpha))})")
-    return EXIT_OK
-
-
-def _plan_payload(instance, plan):
     return {
+        "measure": dict(zip(instance.operation_names, g.costs.tolist())),
+        "attaining_resource": dict(zip(instance.operation_names, attains)),
+    }
+
+
+def _text_measure(p):
+    for name, cost in p["measure"].items():
+        yield (f"{name}: g = {_fmt(cost)}  "
+               f"(binding resource: {p['attaining_resource'][name]})")
+
+
+def cmd_approx(instance, args) -> dict:
+    report = approx.approximability(instance, with_oracle=args.oracle)
+    payload = {
+        "alpha": report.alpha,
+        "game_value": report.game.value,
+        "row_strategy": report.game.row_strategy.tolist(),
+        "col_strategy": report.game.col_strategy.tolist(),
+        "measure": report.measure.costs.tolist(),
+        "witness_block": report.witness.tolist(),
+    }
+    if report.oracle_alpha is not None:
+        payload["oracle_alpha"] = report.oracle_alpha
+        payload["oracle_gap"] = abs(report.oracle_alpha - report.alpha)
+    return payload
+
+
+def _text_approx(p):
+    gas = np.asarray(p["measure"]) @ np.asarray(p["witness_block"])
+    yield f"alpha = {_fmt(p['alpha'])}  (game value {_fmt(p['game_value'])})"
+    yield f"row strategy  x* = {_vec(p['row_strategy'])}"
+    yield f"col strategy  y* = {_vec(p['col_strategy'])}"
+    yield f"witness block    = {_vec(p['witness_block'])} (gas = {_fmt(gas)})"
+    if "oracle_alpha" in p:
+        yield (f"oracle alpha = {_fmt(p['oracle_alpha'])}  "
+               f"(gap {_fmt(p['oracle_gap'])})")
+
+
+def cmd_partition(instance, args) -> dict:
+    if args.mode == "exact":
+        plan = partition.optimal_partition_exact(instance, args.k)
+    else:
+        plan = partition.optimal_partition_greedy(instance, args.k)
+    return {
+        "mode": args.mode,
         "groups": [[instance.resource_names[j] for j in group]
                    for group in plan.groups],
         "per_group_loss": plan.per_group_losses.tolist(),
@@ -121,25 +122,13 @@ def _plan_payload(instance, plan):
     }
 
 
-def cmd_partition(args) -> int:
-    instance = _load(args)
-    if args.mode == "exact":
-        plan = partition.optimal_partition_exact(instance, args.k)
-    else:
-        plan = partition.optimal_partition_greedy(instance, args.k)
-    if args.json:
-        _print_json({"instance": _instance_summary(instance),
-                     "mode": args.mode, **_plan_payload(instance, plan)})
-    else:
-        for group, loss in zip(plan.groups, plan.per_group_losses):
-            names = ", ".join(instance.resource_names[j] for j in group)
-            print(f"group {{{names}}}: loss = {_fmt(loss)}")
-        print(f"overall loss = {_fmt(plan.loss)}")
-    return EXIT_OK
+def _text_partition(p):
+    for group, loss in zip(p["groups"], p["per_group_loss"]):
+        yield f"group {{{', '.join(group)}}}: loss = {_fmt(loss)}"
+    yield f"overall loss = {_fmt(p['loss'])}"
 
 
-def cmd_factorize(args) -> int:
-    instance = _load(args)
+def cmd_factorize(instance, args) -> dict:
     n = instance.num_resources
     if args.mode == "from-partition" and not 1 <= args.k <= n:
         raise InstanceError(f"k must be in 1..{n}")
@@ -147,37 +136,34 @@ def cmd_factorize(args) -> int:
     for line in report.warnings:
         print(f"warning: {line}", file=sys.stderr)
     fact = report.factorization
-    values = [None if np.isnan(v) else v
-              for v in report.per_dimension_values]
-    if args.json:
-        _print_json({
-            "instance": _instance_summary(instance),
-            "mode": args.mode,
-            "k": fact.k,
-            "A": fact.A.tolist(),
-            "R": None if fact.R is None else np.asarray(fact.R).tolist(),
-            "per_dimension_value": values,
-            "alpha": report.alpha,
-            "represents": report.represents,
-        })
-    else:
-        print(f"k = {fact.k}, alpha = {_fmt(report.alpha)}, "
-              f"represents = {report.represents}")
-        for ell, value in enumerate(values):
-            shown = "skipped (all-zero)" if value is None else _fmt(value)
-            print(f"dimension {ell}: game value = {shown}")
-        print("A (operations x k):")
-        for name, row in zip(instance.operation_names, fact.A):
-            print(f"  {name}: {_vec(row)}")
-        if fact.R is not None:
-            print("R (k x resources):")
-            for row in np.asarray(fact.R):
-                print(f"  {_vec(row)}")
-    return EXIT_OK
+    return {
+        "mode": args.mode,
+        "k": fact.k,
+        "A": fact.A.tolist(),
+        "R": None if fact.R is None else np.asarray(fact.R).tolist(),
+        "per_dimension_value": [None if np.isnan(v) else v
+                                for v in report.per_dimension_values],
+        "alpha": report.alpha,
+        "represents": report.represents,
+    }
 
 
-def cmd_hist(args) -> int:
-    instance = _load(args)
+def _text_factorize(p):
+    yield (f"k = {p['k']}, alpha = {_fmt(p['alpha'])}, "
+           f"represents = {p['represents']}")
+    for ell, value in enumerate(p["per_dimension_value"]):
+        shown = "skipped (all-zero)" if value is None else _fmt(value)
+        yield f"dimension {ell}: game value = {shown}"
+    yield "A (operations x k):"
+    for name, row in zip(p["instance"]["operations"], p["A"]):
+        yield f"  {name}: {_vec(row)}"
+    if p["R"] is not None:
+        yield "R (k x resources):"
+        for row in p["R"]:
+            yield f"  {_vec(row)}"
+
+
+def cmd_hist(instance, args) -> dict:
     if args.freq:
         f = formats.load_profile(args.freq, instance)
         report = hist.hist_loss(instance, f)
@@ -187,40 +173,44 @@ def cmd_hist(args) -> int:
         hi_ = formats.load_bounds(args.high, instance)
         report = hist.hist_loss_range(instance, lo, hi_)
         mode = "range"
-    best = instance.resource_names[report.best_reply_column]
-    if args.json:
-        _print_json({
-            "instance": _instance_summary(instance),
-            "mode": mode,
-            "frequency": report.frequency.tolist(),
-            "x_hist": report.x_hist.tolist(),
-            "column_payoffs": report.column_payoffs.tolist(),
-            "nu_hist": report.nu_hist,
-            "alpha_hist": report.alpha_hist,
-            "best_reply_resource": best,
-        })
-    else:
-        if mode == "range":
-            print(f"worst-case frequency f = {_vec(report.frequency)}")
-        print(f"x_hist = {_vec(report.x_hist)}")
-        print(f"column payoffs = {_vec(report.column_payoffs)} "
-              f"(best reply: {best})")
-        print(f"alpha_hist = {_fmt(report.alpha_hist)}  "
-              f"(nu_hist = {_fmt(report.nu_hist)})")
-    return EXIT_OK
+    return {
+        "mode": mode,
+        "frequency": report.frequency.tolist(),
+        "x_hist": report.x_hist.tolist(),
+        "column_payoffs": report.column_payoffs.tolist(),
+        "nu_hist": report.nu_hist,
+        "alpha_hist": report.alpha_hist,
+        "best_reply_resource":
+            instance.resource_names[report.best_reply_column],
+    }
+
+
+def _text_hist(p):
+    if p["mode"] == "range":
+        yield f"worst-case frequency f = {_vec(p['frequency'])}"
+    yield f"x_hist = {_vec(p['x_hist'])}"
+    yield (f"column payoffs = {_vec(p['column_payoffs'])} "
+           f"(best reply: {p['best_reply_resource']})")
+    yield (f"alpha_hist = {_fmt(p['alpha_hist'])}  "
+           f"(nu_hist = {_fmt(p['nu_hist'])})")
 
 
 def cmd_gen(args) -> int:
     if args.kind == "ecp":
+        if not args.set or args.epsilon is None:
+            raise InstanceError("gen ecp needs --set and --epsilon")
         try:
             elements = [int(s) for s in args.set.split(",") if s.strip()]
         except ValueError as exc:
-            raise InstanceError(str(exc)) from exc
+            raise InstanceError("--set must be comma-separated integers, "
+                                f"got {args.set!r}") from exc
         doc = formats.ecp_instance_doc(elements, args.epsilon)
     elif args.kind == "random":
         doc = formats.random_instance_doc(args.ops, args.resources,
                                           args.density, args.seed)
     else:
+        if not args.preset:
+            raise InstanceError("gen preset needs --preset")
         doc = formats.preset_doc(args.preset)
     text = formats.serialize_instance(doc)
     if args.out == "-":
@@ -233,7 +223,7 @@ def cmd_gen(args) -> int:
             raise InstanceError(
                 f"cannot write {args.out}: {exc.strerror}") from exc
         print(f"wrote {args.out}", file=sys.stderr)
-    return EXIT_OK
+    return 0
 
 
 def _build_parser():
@@ -243,45 +233,42 @@ def _build_parser():
                     "measures for multi-resource block limits.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def verb(name, handler, render, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("instance", help="instance file (JSON or CSV table)")
         p.add_argument("--json", action="store_true",
                        help="emit a JSON report")
         p.add_argument("--exclude-resources", metavar="NAMES",
                        help="comma-separated resource names to treat as "
                             "non-congesting")
+        p.set_defaults(func=_report, handler=handler, render=render)
+        return p
 
-    p = sub.add_parser("measure", help="minimal single gas measure")
-    common(p)
-    p.set_defaults(func=cmd_measure)
+    verb("measure", cmd_measure, _text_measure,
+         help="minimal single gas measure")
 
-    p = sub.add_parser("approx", help="single-dimensional worst-case loss")
-    common(p)
+    p = verb("approx", cmd_approx, _text_approx,
+             help="single-dimensional worst-case loss")
     p.add_argument("--oracle", action="store_true",
                    help="also solve the zero-sum game as an independent "
                         "check")
-    p.set_defaults(func=cmd_approx)
 
-    p = sub.add_parser("partition", help="best k-group resource partition")
-    common(p)
+    p = verb("partition", cmd_partition, _text_partition,
+             help="best k-group resource partition")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=["exact", "greedy"], default="exact")
-    p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("factorize", help="k-dimensional measure via "
-                                         "upper-bounding factorization")
-    common(p)
+    p = verb("factorize", cmd_factorize, _text_factorize,
+             help="k-dimensional measure via upper-bounding factorization")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=["from-partition", "alternate"],
                    default="from-partition")
-    p.set_defaults(func=cmd_factorize)
 
-    p = sub.add_parser("hist", help="loss under a historical operation mix")
-    common(p)
+    p = verb("hist", cmd_hist, _text_hist,
+             help="loss under a historical operation mix")
     p.add_argument("--freq", help="frequency profile file (point mode)")
     p.add_argument("--low", help="lower-bound profile file (range mode)")
     p.add_argument("--high", help="upper-bound profile file (range mode)")
-    p.set_defaults(func=cmd_hist)
 
     p = sub.add_parser("gen", help="write instance fixtures")
     p.add_argument("kind", choices=["ecp", "random", "preset"])
@@ -298,33 +285,19 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "hist":
-        point = bool(args.freq)
-        ranged = bool(args.low) and bool(args.high)
-        if point == ranged:
-            print("error: give either --freq or both --low and --high",
-                  file=sys.stderr)
-            return EXIT_INPUT
-    if args.command == "gen":
-        if args.kind == "ecp" and (not args.set or args.epsilon is None):
-            print("error: gen ecp needs --set and --epsilon", file=sys.stderr)
-            return EXIT_INPUT
-        if args.kind == "preset" and not args.preset:
-            print("error: gen preset needs --preset", file=sys.stderr)
-            return EXIT_INPUT
+    args = _build_parser().parse_args(argv)
     try:
+        # checked before the instance is loaded, so that the file's notes
+        # and warnings do not reach stderr ahead of the error
+        if args.command == "hist" and (
+                bool(args.freq), bool(args.low), bool(args.high)) not in (
+                (True, False, False), (False, True, True)):
+            raise InstanceError(
+                "give either --freq or both --low and --high")
         return args.func(args)
-    except TooManyResources as exc:
+    except GaslossError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except NumericalFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except InstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Exception classes, one per CLI exit code.
+"""Exception classes, each carrying its CLI exit code.
 
 InstanceError (exit 2) covers every input the package refuses: malformed
 or non-finite instance files and profiles, bad arguments (partitions,
@@ -16,10 +16,16 @@ class GaslossError(Exception):
 class InstanceError(GaslossError, ValueError):
     """Input the package refuses to analyse."""
 
+    exit_code = 2
+
 
 class NumericalFailure(GaslossError, RuntimeError):
     """The LP engine could not resolve the problem numerically."""
 
+    exit_code = 3
+
 
 class TooManyResources(GaslossError, ValueError):
     """More resources than the exact partition search enumerates."""
+
+    exit_code = 4

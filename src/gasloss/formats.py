@@ -155,22 +155,25 @@ def _json_block(lines, brackets, indent):
             + brackets[1])
 
 
-def load_instance_doc(path) -> InstanceDoc:
+def _read_text(path, kind) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except FileNotFoundError as exc:
-        raise InstanceError(f"no such instance file: {path}") from exc
+        raise InstanceError(f"no such {kind} file: {path}") from exc
     except OSError as exc:          # a directory, no permission, ...
         raise InstanceError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        raise InstanceError(f"malformed instance file: {exc}") from exc
-    return parse_instance(text)
+        raise InstanceError(f"malformed {kind} file: {exc}") from exc
+
+
+def load_instance_doc(path) -> InstanceDoc:
+    return parse_instance(_read_text(path, "instance"))
 
 
 def load_profile(path, instance: model.ResourceInstance) -> np.ndarray:
     """Load a frequency profile and renormalize it to the simplex."""
-    weights = _load_mapping(path, instance)
+    weights = load_bounds(path, instance)
     total = weights.sum()
     if total <= 0:
         raise InstanceError(f"profile {path} has no positive weight")
@@ -179,18 +182,10 @@ def load_profile(path, instance: model.ResourceInstance) -> np.ndarray:
 
 def load_bounds(path, instance: model.ResourceInstance) -> np.ndarray:
     """Load per-operation bounds for range mode (not renormalized)."""
-    return _load_mapping(path, instance)
-
-
-def _load_mapping(path, instance):
+    text = _read_text(path, "profile")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise InstanceError(f"no such profile file: {path}") from exc
-    except OSError as exc:          # a directory, no permission, ...
-        raise InstanceError(f"cannot read {path}: {exc.strerror}") from exc
-    except ValueError as exc:   # bad JSON or UTF-8, or too many digits
+        doc = json.loads(text)
+    except ValueError as exc:   # bad JSON, or an integer of too many digits
         raise InstanceError(f"malformed profile file: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceError("profile must be a JSON object")

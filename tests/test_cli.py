@@ -1,10 +1,13 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gasloss import cli, formats
+from gasloss import approx, cli, formats
+from gasloss.errors import InstanceError, NumericalFailure, TooManyResources
 
 
 @pytest.fixture
@@ -364,6 +367,21 @@ class TestHist:
         assert code == 2
         assert "--freq" in err
 
+    @pytest.mark.parametrize("bounds", [["--low"], ["--high"],
+                                        ["--low", "--high"]],
+                             ids=["low", "high", "low-and-high"])
+    def test_freq_with_bound_flag_exits_2(self, capsys, table1_path,
+                                          tmp_path, bounds):
+        f = tmp_path / "f.json"
+        f.write_text('{"Op1": 1, "Op2": 1, "Op3": 1, "Op4": 1}')
+        flags = ["--freq", str(f)]
+        for flag in bounds:
+            flags += [flag, str(f)]
+        code, out, err = run(capsys, "hist", table1_path, *flags)
+        assert code == 2
+        assert out == ""
+        assert err == "error: give either --freq or both --low and --high\n"
+
 
 class TestGen:
     def test_ecp(self, capsys, tmp_path):
@@ -388,6 +406,14 @@ class TestGen:
                            "--out", str(tmp_path / "x.json"))
         assert code == 2
         assert "epsilon" in err
+
+    def test_non_integer_set_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "gen", "ecp", "--set", "1,x",
+                             "--epsilon", "0.1")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: --set must be comma-separated integers, "
+                       "got '1,x'\n")
 
     def test_random_deterministic_files(self, capsys, tmp_path):
         a = tmp_path / "a.json"
@@ -438,3 +464,118 @@ class TestExcludeEquivalence:
         d1, d2 = json.loads(out1), json.loads(out2)
         for key in ("alpha", "game_value", "measure", "witness_block"):
             assert d1[key] == pytest.approx(d2[key])
+
+
+# Whole stdout of each text renderer, pinned literally: the substring
+# tests above would miss a moved, dropped or reworded line.
+GOLDEN_TEXT = {
+    "measure": (("measure", "{table1}"), """\
+Op1: g = 0.333333333333  (binding resource: r2)
+Op2: g = 0.666666666667  (binding resource: r2)
+Op3: g = 0.6  (binding resource: r1)
+Op4: g = 0.666666666667  (binding resource: r1)
+"""),
+    "approx-oracle": (("approx", "{table1}", "--oracle"), """\
+alpha = 1.375  (game value 0.727272727273)
+row strategy  x* = (0.454545454545, 0, 0, 0.545454545455)
+col strategy  y* = (0.454545454545, 0.545454545455)
+witness block    = (1.875, 0, 0, 1.125) (gas = 1.375)
+oracle alpha = 1.375  (gap 2.22044604925e-16)
+"""),
+    "approx-table3": (("approx", "{table3}"), """\
+alpha = 2  (game value 0.5)
+row strategy  x* = (0.5, 0, 0.5)
+col strategy  y* = (0.5, 0.5)
+witness block    = (1, 0, 1) (gas = 2)
+"""),
+    "partition-k2": (("partition", "{table1}", "--k", "2"), """\
+group {r1}: loss = 1
+group {r2}: loss = 1
+overall loss = 1
+"""),
+    "factorize-k2": (("factorize", "{table1}", "--k", "2"), """\
+k = 2, alpha = 1, represents = True
+dimension 0: game value = 1
+dimension 1: game value = 1
+A (operations x k):
+  Op1: (0.133333333333, 0.333333333333)
+  Op2: (0.4, 0.666666666667)
+  Op3: (0.6, 0.333333333333)
+  Op4: (0.666666666667, 0.333333333333)
+R (k x resources):
+  (1, 0)
+  (0, 1)
+"""),
+    "hist-point": (("hist", "{table1}", "--freq", "{ones}"), """\
+x_hist = (0.147058823529, 0.294117647059, 0.264705882353, 0.294117647059)
+column payoffs = (0.794117647059, 0.735294117647) (best reply: r1)
+alpha_hist = 1.25925925926  (nu_hist = 0.794117647059)
+"""),
+    "hist-range": (("hist", "{table1}", "--low", "{empty}", "--high",
+                    "{ones}"), """\
+worst-case frequency f = (0.625, 0, 0, 0.375)
+x_hist = (0.454545454545, 0, 0, 0.545454545455)
+column payoffs = (0.727272727273, 0.727272727273) (best reply: r1)
+alpha_hist = 1.375  (nu_hist = 0.727272727273)
+"""),
+}
+
+
+@pytest.fixture
+def golden_paths(tmp_path, table1_path, table3_path):
+    ones = tmp_path / "ones.json"
+    ones.write_text('{"Op1": 1, "Op2": 1, "Op3": 1, "Op4": 1}')
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    return {"table1": table1_path, "table3": table3_path,
+            "ones": str(ones), "empty": str(empty)}
+
+
+class TestGoldenText:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_TEXT))
+    def test_whole_stdout(self, capsys, golden_paths, case):
+        argv, expected = GOLDEN_TEXT[case]
+        code, out, err = run(capsys, *(a.format(**golden_paths)
+                                       for a in argv))
+        assert code == 0
+        assert out == expected
+        if case == "approx-table3":
+            assert err.startswith("note: for the mix (5%, 80%, 15%)")
+        else:
+            assert err == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("gen", "ecp"), "gen ecp needs --set and --epsilon"),
+        (("gen", "ecp", "--set", "1,2"), "gen ecp needs --set and --epsilon"),
+        (("gen", "preset"), "gen preset needs --preset"),
+    ], ids=["ecp-no-set", "ecp-no-epsilon", "preset-no-name"])
+    def test_gen_missing_flag_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]],
+                             ids=["text", "json"])
+    @pytest.mark.parametrize("cls, expected", [
+        (InstanceError, 2), (NumericalFailure, 3), (TooManyResources, 4)])
+    def test_error_class_sets_exit_code(self, capsys, monkeypatch,
+                                        table1_path, json_flag, cls,
+                                        expected):
+        def refuse(*args, **kwargs):
+            raise cls("refused for the test")
+
+        monkeypatch.setattr(approx, "approximability", refuse)
+        code, out, err = run(capsys, "approx", table1_path, *json_flag)
+        assert code == expected == cls.exit_code
+        assert out == ""
+        assert err == "error: refused for the test\n"
+
+    def test_readme_table_matches_classes(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        table = re.findall(r"^\| `(\d)` \| `(\w+)` \|", text, re.M)
+        classes = (InstanceError, NumericalFailure, TooManyResources)
+        assert {name: int(code) for code, name in table} == {
+            cls.__name__: cls.exit_code for cls in classes}
