@@ -83,7 +83,7 @@ def _parse_table(text: str) -> InstanceDoc:
     if len(rows) < 3:
         raise InstanceError("table needs a header, operations, and capacities")
     res_names = [c.strip() for c in rows[0][1:]]
-    operations = []
+    op_names, usage = [], []
     capacities = None
     for row in rows[1:]:
         name = row[0].strip()
@@ -96,12 +96,22 @@ def _parse_table(text: str) -> InstanceDoc:
         if name.lower() == "capacity":
             capacities = values
         else:
-            operations.append(
-                (name, {rn: v for rn, v in zip(res_names, values) if v != 0}))
+            op_names.append(name)
+            usage.append(values)
     if capacities is None:
         raise InstanceError("missing 'capacity' row")
+    return _usage_doc(res_names, capacities, op_names, usage)
+
+
+def _usage_doc(res_names, capacities, op_names, usage, notes=()):
+    """The document of congesting resources and of operations with the
+    given usage rows (lists of floats, one per resource), each operation
+    keeping its nonzero amounts, keyed by their resources in order."""
     resources = [(n, c, True) for n, c in zip(res_names, capacities)]
-    return InstanceDoc(resources, operations)
+    operations = [
+        (name, dict(zip(compress(res_names, row), filter(None, row))))
+        for name, row in zip(op_names, usage)]
+    return InstanceDoc(resources, operations, list(notes))
 
 
 def _format_number(x):
@@ -268,30 +278,19 @@ def random_instance_doc(num_ops: int, num_resources: int,
         values = values[values.any(axis=1)]
         rows.append(values)
         missing -= len(values)
-    usage = np.concatenate(rows).astype(float).tolist()
-    # each row's nonzero amounts, keyed by their resources in order
-    operations = [
-        (f"op{i + 1}", dict(zip(compress(res_names, row), filter(None, row))))
-        for i, row in enumerate(usage)]
-    resources = [(n, c, True) for n, c in zip(res_names, capacities)]
-    return InstanceDoc(resources, operations)
+    op_names = [f"op{i + 1}" for i in range(num_ops)]
+    return _usage_doc(res_names, capacities, op_names,
+                      np.concatenate(rows).astype(float).tolist())
 
 
 def ecp_instance_doc(elements, epsilon: float) -> InstanceDoc:
     """The equal-cardinality-partition reduction instance as a file doc."""
     ecp = partition.generate_ecp(elements, epsilon)
     inst = ecp.instance
-    resources = [(n, float(c), True)
-                 for n, c in zip(inst.resource_names, inst.capacities)]
-    operations = []
-    for i, name in enumerate(inst.operation_names):
-        row = inst.usage[i]
-        operations.append(
-            (name, {rn: float(v)
-                    for rn, v in zip(inst.resource_names, row) if v != 0}))
     notes = [f"reduction instance for elements {list(ecp.elements)} "
              f"with epsilon {ecp.epsilon}"]
-    return InstanceDoc(resources, operations, notes)
+    return _usage_doc(inst.resource_names, inst.capacities.tolist(),
+                      inst.operation_names, inst.usage.tolist(), notes)
 
 
 def preset_doc(name: str) -> InstanceDoc:

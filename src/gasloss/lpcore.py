@@ -13,15 +13,15 @@ here are tiny (a few hundred variables at most): a dense tableau fits.
 loss_lp, max a @ x s.t. M^T x <= 1, solves the zero-sum game u = M / a
 as the LP max 1 @ z s.t. u^T z <= 1 in the game coordinates z = a x,
 and its primal and dual are the game's strategies.  solve_zero_sum
-solves a game U directly, as the LP of the shifted game U + 1 - min U,
+solves a game U as one loss_lp call on the shifted game U + 1 - min U,
 whose entries are all at least 1.  The shift stays even for a
 nonnegative U such as the game of approx.build_game: unshifted, that
-game's LP is loss_lp's program, so the oracle would check nothing.
+call is approx's own loss LP, so the oracle would check nothing.
 
 All numeric tolerances used by the solver live here as module constants.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -227,24 +227,23 @@ def solve_zero_sum(U) -> GameSolution:
     """Value and equilibrium strategies of a finite zero-sum matrix game
     whose row player minimizes.
 
-    The value is min over row mixtures x of max_j sum_i x_i U_ij.  With s = 1 - min U every entry of U + s is at
-    least 1, so max 1 @ z s.t. (U + s)^T z <= 1, z >= 0 is bounded and
-    its slack basis is feasible: one solve_lp call.  The value is
-    1 / sum(z) - s, the row strategy z / sum(z) and the column strategy
-    the LP's certified dual y / sum(y).  The shift is applied even when
-    U >= 0 (see the module docstring).  A solution that fails
-    verify_equilibrium within 10 FEAS_TOL raises NumericalFailure.
+    The value is min over row mixtures x of max_j sum_i x_i U_ij.  With
+    s = 1 - min U every entry of U + s is at least 1, so the game of one
+    loss_lp call, max 1 @ z s.t. (U + s)^T z <= 1, is bounded and is the
+    shifted game: the value is its value minus s, the strategies are its
+    own.  The shift is applied even when U >= 0 (see the module
+    docstring).  A solution that fails verify_equilibrium within
+    10 FEAS_TOL raises NumericalFailure.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
     if U.size == 0 or not np.all(np.isfinite(U)):
         raise ValueError("game matrix must be finite and non-empty")
-    m, n = U.shape
     shift = 1.0 - U.min()
-    res = solve_lp(LinearProgram(np.ones(m), (U + shift).T, np.ones(n)))
-    if res.status != "optimal":
-        raise NumericalFailure(f"game LP ended with status {res.status}")
-    sol = GameSolution(1.0 / res.value - shift, _clean_simplex(res.x),
-                       _clean_simplex(res.y))
+    res = loss_lp(np.ones(U.shape[0]), U + shift)
+    if res.alpha == np.inf:
+        raise NumericalFailure("game LP ended with status unbounded")
+    game = res.game
+    sol = replace(game, value=game.value - shift)
     if not verify_equilibrium(U, sol, FEAS_TOL * 10):
         raise NumericalFailure("game strategies fail the equilibrium check")
     return sol

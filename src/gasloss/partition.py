@@ -67,7 +67,8 @@ class _GroupLosses:
     that no operation uses has loss 1.  A disconnected block's witness is
     summed only when witness() asks for it.  A block pruned at a cutoff
     keeps its certified lower bound, which prunes it again at any cutoff
-    below that bound with no scan.
+    below that bound with no scan.  A search passes its incumbent, the
+    engine sets the margin a bound must clear, and plan() builds the plan.
 
     Operation i is private to resource j in block S when j is the only
     resource of S that i uses.  The dual y = 1_S is feasible, so
@@ -148,13 +149,14 @@ class _GroupLosses:
         return float(np.max(gas / np.where(top > 0, top, np.inf),
                             initial=0.0))
 
-    def loss(self, mask, cutoff=np.inf):
+    def loss(self, mask, incumbent=np.inf):
         """alpha of the block; where the private count or a witness
-        certifies, before an LP, that it exceeds a finite cutoff, that
-        lower bound instead, which goes to lower, never to entries."""
+        certifies, before an LP, that it clears a finite incumbent by more
+        than LP round-off, that bound instead, kept in lower, not entries."""
         entry = self.entries.get(mask)
         if entry is not None:
             return entry[0]
+        cutoff = incumbent * (1 + 1e-9) + _TIE_TOL
         # a remembered bound is at most a fresh one (the witness pool only
         # grows), so it prunes only blocks that a fresh scan would prune
         bound = self.lower.get(mask, -np.inf)
@@ -200,7 +202,7 @@ class _GroupLosses:
             total = 0.0
             for p in (part, live ^ part):
                 if p:
-                    loss = self.loss(p, cutoff)
+                    loss = self.loss(p, incumbent)
                     if p not in self.entries:
                         return loss     # alpha(S) >= alpha(p) > cutoff
                     total += loss
@@ -221,6 +223,13 @@ class _GroupLosses:
                     witness = witness + self.witness(p)
         return witness
 
+    def plan(self, masks):
+        """The PartitionPlan of the groups given as bitmasks, in order."""
+        groups = tuple(_members(mask) for mask in masks)
+        losses = np.array([self.loss(mask) for mask in masks])
+        measures = tuple(self.usage[:, list(g)].max(axis=1) for g in groups)
+        return PartitionPlan(groups, measures, losses, float(losses.max()))
+
 
 def _check_partition(n, groups):
     seen = set()
@@ -235,16 +244,11 @@ def _check_partition(n, groups):
         raise InstanceError("groups must cover every resource index")
 
 
-def partition_loss(instance: model.ResourceInstance, groups,
-                   _cache=None) -> PartitionPlan:
+def partition_loss(instance: model.ResourceInstance, groups) -> PartitionPlan:
     """Evaluate a given partition of the resource indices."""
-    groups = tuple(tuple(sorted(g)) for g in groups)
+    groups = [tuple(g) for g in groups]
     _check_partition(instance.num_resources, groups)
-    cache = _cache if _cache is not None else _GroupLosses(instance)
-    losses = np.array([cache.loss(_mask(g)) for g in groups])
-    measures = tuple(np.max(instance.normalized_usage[:, list(g)], axis=1)
-                     for g in groups)
-    return PartitionPlan(groups, measures, losses, float(losses.max()))
+    return _GroupLosses(instance).plan([_mask(g) for g in groups])
 
 
 def _assignment_key(groups, n):
@@ -307,15 +311,13 @@ def optimal_partition_exact(instance: model.ResourceInstance,
                 sub = (sub - rest) & rest
                 blocks.append(first | sub)
         for block in blocks:
-            # a bound must clear the incumbent by more than LP round-off
-            loss = cache.loss(block, best["loss"] * (1 + 1e-9) + _TIE_TOL)
+            loss = cache.loss(block, best["loss"])
             if loss > best["loss"] + _TIE_TOL:
                 continue
             recurse(remaining ^ block, groups + [block], max(worst, loss))
 
     recurse((1 << n) - 1, [], 1.0)
-    return partition_loss(instance, [_members(g) for g in best["groups"]],
-                          _cache=cache)
+    return cache.plan(best["groups"])
 
 
 def optimal_partition_greedy(instance: model.ResourceInstance,
@@ -326,8 +328,8 @@ def optimal_partition_greedy(instance: model.ResourceInstance,
 
     A merge cannot win when the worst of the other groups already reaches
     the round's best total, so it costs nothing; otherwise its loss is
-    asked for with the best total as cutoff, and a certified bound above
-    that cutoff rules it out as surely as its exact loss would."""
+    asked for with the best total as incumbent, and a certified bound
+    above it rules the merge out as surely as its exact loss would."""
     n = instance.num_resources
     if not 1 <= k <= n:
         raise InstanceError(f"k must be in 1..{n}")
@@ -345,8 +347,7 @@ def optimal_partition_greedy(instance: model.ResourceInstance,
                              default=-np.inf)
                 if others >= best_loss - _TIE_TOL:
                     continue
-                merged = cache.loss(groups[a] | groups[b],
-                                    best_loss * (1 + 1e-9) + _TIE_TOL)
+                merged = cache.loss(groups[a] | groups[b], best_loss)
                 total = max(merged, others)
                 if total < best_loss - _TIE_TOL:
                     best_loss = total
@@ -355,8 +356,7 @@ def optimal_partition_greedy(instance: model.ResourceInstance,
         groups[a] |= groups[b]
         losses[a] = cache.loss(groups[a])
         del groups[b], losses[b]
-    return partition_loss(instance, [_members(g) for g in groups],
-                          _cache=cache)
+    return cache.plan(groups)
 
 
 def best_partition(instance: model.ResourceInstance,

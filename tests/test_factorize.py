@@ -266,6 +266,21 @@ class TestAlternating:
                 assert np.array_equal(report.factorization.R, fact.R)
 
 
+    @pytest.mark.parametrize("n", (16, 20))
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_greedy_partition_above_the_exact_limit(self, n, k):
+        # best_partition hands instances above the exact enumeration
+        # limit to the greedy search
+        assert n > partition.EXACT_ENUMERATION_LIMIT
+        for seed in range(2):
+            inst = formats.random_instance_doc(40, n, 1.0, seed).to_instance()
+            fact = factorize.partition_to_factorization(
+                inst, partition.optimal_partition_greedy(inst, k))
+            report = factorize.alternating_factorization(inst, k)
+            assert np.array_equal(report.factorization.A, fact.A)
+            assert np.array_equal(report.factorization.R, fact.R)
+
+
 class TestSoundness:
     def test_factorization_feasibility_sampling(self):
         rng = np.random.default_rng(3)

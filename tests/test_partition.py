@@ -344,15 +344,34 @@ class TestSearchStructure:
                     inst, partition._members(mask)) * (1 + 1e-9)
         assert bounded > 100
 
+    def test_pruned_component_leaves_its_block_unset(self, monkeypatch):
+        # a disconnected block whose component is pruned returns that
+        # component's bound, and only then is a block in neither entries
+        # nor lower
+        returned = []
+        loss = partition._GroupLosses.loss
+
+        def record(cache, mask, incumbent=np.inf):
+            value = loss(cache, mask, incumbent)
+            returned.append((cache, mask))
+            return value
+
+        monkeypatch.setattr(partition._GroupLosses, "loss", record)
+        for inst in structured_instances():
+            if inst.num_resources <= 9:
+                assert_search_matches_reference(inst)
+        assert any(mask not in cache.entries and mask not in cache.lower
+                   for cache, mask in returned)
+
     def test_search_caches_only_exact_losses(self, monkeypatch):
         caches = []
-        evaluate = partition.partition_loss
+        plan = partition._GroupLosses.plan
 
-        def record(instance, groups, _cache=None):
-            caches.append((instance, _cache))
-            return evaluate(instance, groups, _cache=_cache)
+        def record(cache, masks):
+            caches.append((inst, cache))
+            return plan(cache, masks)
 
-        monkeypatch.setattr(partition, "partition_loss", record)
+        monkeypatch.setattr(partition._GroupLosses, "plan", record)
         instances = [formats.random_instance_doc(30, 10, 1.0, s).to_instance()
                      for s in (1, 4)]
         instances += [partition.generate_ecp([1, 3, 2, 2], 1 / 16).instance]
