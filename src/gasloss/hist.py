@@ -3,11 +3,9 @@
 A historical operation mix induces a (generally suboptimal) row strategy
 in the worst-case game; the column player's best reply to it gives a
 loss that is never worse than the worst case.  For a box of plausible
-frequency vectors, the worst loss over the box is a linear-fractional
-minimax in the gas-scaled variables z_i = f_i * g_i; the Charnes-Cooper
-substitution s = z / max_j (z . U_j) turns it into one LP whose slack
-basis is feasible.
-"""
+mixes, the worst loss over the box is the largest gas g @ x of a
+feasible block x whose mix x / (1 @ x) lies in the box: one
+lpcore.loss_lp call with the box."""
 
 from dataclasses import dataclass
 
@@ -43,20 +41,16 @@ def hist_strategy(g: model.GasMeasure, f) -> np.ndarray:
     return weighted / total
 
 
-def _report_for_strategy(U, f, x):
-    payoffs = x @ U
-    best = int(np.argmax(payoffs))        # ties resolve to the lowest index
-    nu = float(payoffs[best])
-    return HistReport(np.asarray(f, dtype=float), x, payoffs, nu,
-                      1.0 / nu, best)
-
-
 def hist_loss(instance: model.ResourceInstance, f) -> HistReport:
     """Best reply of the resource (maximizing) player to the mix-induced
     row strategy; the reciprocal is the loss under this mix."""
-    g = model.minimal_gas_measure(instance)
-    U = approx.build_game(instance)
-    return _report_for_strategy(U, f, hist_strategy(g, f))
+    x = hist_strategy(model.minimal_gas_measure(instance), f)
+    payoffs = x @ approx.build_game(instance)
+    nu = float(payoffs.max())
+    # ties, within round-off, resolve to the lowest index
+    best = int((payoffs >= nu * (1 - 1e-12)).argmax())
+    return HistReport(np.asarray(f, dtype=float), x, payoffs, nu,
+                      1.0 / nu, best)
 
 
 def hist_loss_range(instance: model.ResourceInstance, f_low,
@@ -64,10 +58,10 @@ def hist_loss_range(instance: model.ResourceInstance, f_low,
     """Worst loss over all frequency vectors in a box intersected with
     the simplex: min over f of the best-reply payoff, as one LP.
 
-    With s = z / max_j (z . U_j) the payoff level is 1 / sum(s), and the
-    box f_low <= f <= f_high, sum f = 1 becomes z_low * (s . 1/g) <= s <=
-    z_high * (s . 1/g); so the LP is max sum(s) s.t. U^T s <= 1 and the
-    scaled box, all "<=" rows with right-hand side 0 or 1.
+    Under the mix f the loss is g @ f / max_j (W'^T f)_j, and it does not
+    change when f is scaled; so its largest value over the box is
+    max g @ x s.t. W'^T x <= 1, f_low <= x / (1 @ x) <= f_high, and the
+    worst-case mix is x / (1 @ x).
     """
     f_low = np.asarray(f_low, dtype=float)
     f_high = np.asarray(f_high, dtype=float)
@@ -82,22 +76,7 @@ def hist_loss_range(instance: model.ResourceInstance, f_low,
         raise InstanceError("the box does not intersect the simplex")
 
     g = model.minimal_gas_measure(instance).costs
-    U = approx.build_game(instance)
-    n = U.shape[1]
-    z_low = f_low * g
-    z_high = f_high * g
-    # f_i <= 1 and f_i >= 0 always hold, so those bounds need no row
-    upper = np.flatnonzero(f_high < 1)
-    lower = np.flatnonzero(f_low > 0)
-    eye = np.eye(m)
-    rows = np.vstack([U.T,
-                      eye[upper] - np.outer(z_high[upper], 1.0 / g),
-                      np.outer(z_low[lower], 1.0 / g) - eye[lower]])
-    bounds = np.zeros(rows.shape[0])
-    bounds[:n] = 1.0
-    res = lpcore.solve_lp(lpcore.LinearProgram(np.ones(m), rows, bounds))
-    if res.status != "optimal" or res.value <= 0:
+    sol = lpcore.loss_lp(g, instance.normalized_usage, f_low, f_high)
+    if not 0 < sol.alpha < np.inf:
         raise NumericalFailure("range minimax: no feasible frequency found")
-    s = np.maximum(res.x, 0.0)
-    f = s / g
-    return _report_for_strategy(U, f / f.sum(), s / s.sum())
+    return hist_loss(instance, sol.x / sol.x.sum())

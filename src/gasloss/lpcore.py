@@ -4,22 +4,28 @@ Every LP here is max c @ x s.t. A x <= b, x >= 0 with b >= 0, so its
 slack basis is feasible and one simplex pass from it solves the LP: a
 tableau simplex with a largest-coefficient pivot rule and a Bland's-rule
 fallback once a budget of degenerate pivots is exhausted.  Every
-"optimal" answer is certified: x must be finite, nonnegative and
-feasible, and the dual u, read off the slack columns, must satisfy
-u >= 0, A^T u >= c and b @ u = c @ x.  Each check allows a tolerance
-scaled by the data, and a failure raises NumericalFailure.  Problems
+"optimal" answer, primal and dual, is certified within a tolerance
+scaled by the data (_checked), or NumericalFailure is raised.  Problems
 here are tiny (a few hundred variables at most): a dense tableau fits.
 
 loss_lp, max a @ x s.t. M^T x <= 1, solves the zero-sum game u = M / a
 as the LP max 1 @ z s.t. u^T z <= 1 in the game coordinates z = a x,
-and its primal and dual are the game's strategies.  solve_zero_sum
-solves a game U as one loss_lp call on the shifted game U + 1 - min U,
-whose entries are all at least 1.  The shift stays even for a
-nonnegative U such as the game of approx.build_game: unshifted, that
-call is approx's own loss LP, so the oracle would check nothing.
+and its primal and dual are the game's strategies.  A box on the mix,
+low <= x / (1 @ x) <= high, is written in offset coordinates
+x = tau low + e, e >= 0: tau is one more operation, of value a @ low
+and usage M^T low, and with r = 1 - sum(low) the mix rows are
+1 @ e = r tau (two rows) and e_i <= (high_i - low_i) tau, kept only
+where high_i - low_i < r.  So no lower-bound row is needed and every
+right-hand side is 0 or 1.  r is capped at sum(high - low), and an r
+of at most FEAS_TOL is round-off and counts as 0, so that a box whose
+sums are off by round-off stays feasible and makes no tiny pivot.
 
-All numeric tolerances used by the solver live here as module constants.
-"""
+solve_zero_sum solves a game U as one loss_lp call on the shifted game
+U + 1 - min U, whose entries are all at least 1.  The shift stays even
+for a nonnegative U such as the game of approx.build_game: unshifted,
+that call is approx's own loss LP, so the oracle would check nothing.
+
+All numeric tolerances used by the solver live here as module constants."""
 
 from dataclasses import dataclass, replace
 
@@ -78,7 +84,8 @@ class GameSolution:
 @dataclass(frozen=True)
 class LossSolution:
     """Optimum of loss_lp: alpha (inf when unbounded), the primal x and
-    the dual y (M y >= a, 1 @ y = alpha), both clipped at 0."""
+    the dual y of the M rows (M y >= a, 1 @ y = alpha when there is no
+    box), both clipped at 0."""
 
     alpha: float
     x: np.ndarray
@@ -197,22 +204,35 @@ def _checked(lp, x, u, value) -> LPResult:
     return LPResult("optimal", value, x, u)
 
 
-def loss_lp(a, M) -> LossSolution:
-    """max a @ x s.t. M^T x <= 1, x >= 0, the LP form of every loss here.
+def loss_lp(a, M, low=None, high=None) -> LossSolution:
+    """max a @ x s.t. M^T x <= 1, x >= 0, the LP form of every loss here,
+    with the mix x / (1 @ x) in [low, high] when a box is given.
 
     It is solved in game coordinates z_i = a_i x_i: row i of M becomes
     u_i = M_i / a_i with objective 1, so the absolute tolerances see
     every operation at one scale whatever its units.  A row with
     a_i <= 0 keeps M_i and its objective a_i.  x is z / a, and the dual
-    is the same in both coordinates."""
+    of the M rows is the same in both coordinates.  A box is written in
+    the offset coordinates of the module docstring."""
     a = np.asarray(a, dtype=float)
+    rows, bounds = np.transpose(M), np.ones(np.shape(M)[1])
+    if low is not None:
+        width = np.maximum(high - low, 0.0)
+        r = min(1.0 - low.sum(), width.sum())
+        r = r if r > FEAS_TOL else 0.0
+        tight = width < r
+        mix = np.append(np.ones(a.size), -r)
+        rows = np.vstack([np.c_[rows, rows @ low], mix, -mix,
+                          np.c_[np.eye(a.size)[tight], -width[tight]]])
+        bounds = np.r_[bounds, np.zeros(len(rows) - len(bounds))]
+        a = np.append(a, a @ low)
     scale = np.where(a > 0, a, 1.0)
-    res = solve_lp(LinearProgram(np.where(a > 0, 1.0, a),
-                                 np.transpose(M) / scale,
-                                 np.ones(np.shape(M)[1])))
+    res = solve_lp(LinearProgram(a / scale, rows / scale, bounds))
     alpha = res.value if res.status == "optimal" else np.inf
-    return LossSolution(alpha, np.maximum(res.x / scale, 0.0),
-                        np.maximum(res.y, 0.0), a)
+    x, y = np.maximum(res.x / scale, 0.0), np.maximum(res.y, 0.0)
+    if low is not None:
+        x, y, a = x[:-1] + x[-1] * low, y[:np.shape(M)[1]], a[:-1]
+    return LossSolution(alpha, x, y, a)
 
 
 def _clean_simplex(v):

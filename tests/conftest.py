@@ -33,9 +33,9 @@ def lp_calls(monkeypatch):
     calls = []
     solve = lpcore.loss_lp
 
-    def count(a, M):
+    def count(a, M, low=None, high=None):
         calls.append(1)
-        return solve(a, M)
+        return solve(a, M, low, high)
 
     monkeypatch.setattr(lpcore, "loss_lp", count)
     return calls

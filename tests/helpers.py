@@ -302,3 +302,32 @@ def reference_solve_lp(lp):
     x_full = np.zeros(n + m)
     x_full[basis] = T[:m, -1]
     return status, -float(ceq @ x_full), x_full[:n], T[-1, n:-1]
+
+
+def reference_range_lp(instance, f_low, f_high):
+    """(alpha, mix) of the range minimax as first written: the
+    Charnes-Cooper LP in s = z / max_j (z . U_j), z = f g, whose value
+    sum(s) is the loss, with the box f_low <= f <= f_high, sum f = 1 as
+    dense rows z_low (s . 1/g) <= s <= z_high (s . 1/g).  The reference
+    that hist.hist_loss_range's alpha must match."""
+    from gasloss import approx, lpcore
+    from gasloss.errors import NumericalFailure
+    g = model.minimal_gas_measure(instance).costs
+    U = approx.build_game(instance)
+    m, n = U.shape
+    z_low = f_low * g
+    z_high = f_high * g
+    # f_i <= 1 and f_i >= 0 always hold, so those bounds need no row
+    upper = np.flatnonzero(f_high < 1)
+    lower = np.flatnonzero(f_low > 0)
+    eye = np.eye(m)
+    rows = np.vstack([U.T,
+                      eye[upper] - np.outer(z_high[upper], 1.0 / g),
+                      np.outer(z_low[lower], 1.0 / g) - eye[lower]])
+    bounds = np.zeros(rows.shape[0])
+    bounds[:n] = 1.0
+    res = lpcore.solve_lp(lpcore.LinearProgram(np.ones(m), rows, bounds))
+    if res.status != "optimal" or res.value <= 0:
+        raise NumericalFailure("range minimax: no feasible frequency found")
+    f = np.maximum(res.x, 0.0) / g
+    return res.value, f / f.sum()

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gasloss import approx, formats, hist, model
+from gasloss import approx, formats, hist, lpcore, model
 from gasloss.errors import InstanceError
-from helpers import random_instance
+from helpers import random_instance, reference_range_lp
 
 
 def random_simplex_point(rng, m):
@@ -159,6 +161,109 @@ class TestHistLossRange:
             with pytest.raises(InstanceError,
                                match="box bounds must be finite"):
                 hist.hist_loss_range(table1, *bounds)
+
+
+def _box(kind, rng, f):
+    """A box around the mix f: tight (+-10%), [0, 3 f], random, the point
+    f, or the whole simplex."""
+    if kind == "tight":
+        return 0.9 * f, np.minimum(1.1 * f, 1.0)
+    if kind == "wide":
+        return np.zeros_like(f), np.minimum(3 * f, 1.0)
+    if kind == "random":
+        return f * rng.random(f.size), f + (1 - f) * rng.random(f.size)
+    if kind == "point":
+        return f, f
+    return np.zeros_like(f), np.ones_like(f)
+
+
+def _bench_box(seed, m, n):
+    """The instance and box [mix/2, min(2 mix, 1)] that the bench's
+    hist_factor workload builds for a job seed."""
+    inst = formats.random_instance_doc(m, n, 0.5, seed).to_instance()
+    mix = np.random.default_rng(seed).dirichlet(np.ones(m))
+    return inst, mix / 2, np.minimum(2 * mix, 1.0)
+
+
+def _lowest_best_reply(report):
+    payoffs = report.column_payoffs
+    return int(np.flatnonzero(payoffs >= report.nu_hist * (1 - 1e-12))[0])
+
+
+class TestRangeLP:
+    @given(seed=st.integers(min_value=0, max_value=10**6),
+           kind=st.sampled_from(("tight", "wide", "random", "point",
+                                 "simplex")))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_dense_row_reference(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(2, 41)), int(rng.integers(1, 11))
+        inst = formats.random_instance_doc(
+            m, n, float(rng.uniform(0.3, 1.0)), seed).to_instance()
+        low, high = _box(kind, rng, rng.dirichlet(np.ones(m)))
+        alpha, _ = reference_range_lp(inst, low, high)
+        report = hist.hist_loss_range(inst, low, high)
+        assert report.alpha_hist == pytest.approx(alpha, rel=1e-9)
+        mix = report.frequency
+        assert np.all(mix >= low - 1e-9) and np.all(mix <= high + 1e-9)
+        assert mix.sum() == pytest.approx(1.0, abs=1e-12)
+        # the LP's own value is the loss at the mix it reports
+        sol = lpcore.loss_lp(model.minimal_gas_measure(inst).costs,
+                             inst.normalized_usage, low, high)
+        assert np.array_equal(sol.x / sol.x.sum(), mix)
+        assert sol.alpha == pytest.approx(
+            hist.hist_loss(inst, mix).alpha_hist, rel=1e-9)
+        assert report.best_reply_column == _lowest_best_reply(report)
+
+    @pytest.mark.parametrize("seed", [s * 100_000 + r * 100 + 2
+                                      for s in (1, 2, 3) for r in range(4)])
+    def test_bench_boxes_take_few_pivots(self, monkeypatch, seed):
+        # the dense-row reference takes 177-278 pivots on these boxes
+        pivots = []
+        pivot = lpcore._pivot
+
+        def count(*args):
+            pivots.append(1)
+            return pivot(*args)
+
+        monkeypatch.setattr(lpcore, "_pivot", count)
+        inst, low, high = _bench_box(seed, 100, 10)
+        hist.hist_loss_range(inst, low, high)
+        assert len(pivots) <= 120
+
+    def test_bounds_off_by_round_off_are_answered(self):
+        # the bench mix of this instance, rounded to 12 digits, sums to
+        # 1 + 5.2e-13; the dense-row LP found no feasible frequency for
+        # it, failed its certificate on the point box f (1 -+ 5e-10), and
+        # on the point box with f_low 1e-13 above f_high it answered a
+        # mix outside the box
+        inst, half, _ = _bench_box(100000, 30, 8)
+        f = 2 * half
+        rounded = np.array([float(f"{v:.12g}") for v in f])
+        assert rounded.sum() > 1
+        point = hist.hist_loss(inst, f).alpha_hist
+        report = hist.hist_loss_range(inst, rounded, 2 * f)
+        mix = report.frequency
+        assert np.all(mix >= rounded - 1e-9) and np.all(mix <= 2 * f + 1e-9)
+        assert report.alpha_hist >= point * (1 - 1e-9)
+        for low, high in ((f * (1 - 5e-10), f * (1 + 5e-10)),
+                          (f + 1e-13, f)):
+            report = hist.hist_loss_range(inst, low, high)
+            assert np.abs(report.frequency - f).max() <= 1e-10
+            assert report.alpha_hist == pytest.approx(point, rel=1e-9)
+
+    def test_tied_best_replies_resolve_to_the_lowest_index(self):
+        # every column's payoff ties at these optima, up to the last bit
+        ecp = formats.ecp_instance_doc([1, 3, 2, 2], 0.1).to_instance()
+        m = ecp.num_operations
+        for high in (0.75, 1.0):
+            report = hist.hist_loss_range(ecp, np.zeros(m),
+                                          np.full(m, high))
+            assert np.allclose(report.column_payoffs, 5 / 24, rtol=1e-12)
+            assert report.best_reply_column == 0
+        inst = formats.random_instance_doc(30, 8, 0.5, 1).to_instance()
+        report = hist.hist_loss_range(inst, np.zeros(30), np.full(30, 0.75))
+        assert report.best_reply_column == _lowest_best_reply(report) == 2
 
 
 class TestMultiBlockAveraging:

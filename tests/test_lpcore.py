@@ -168,18 +168,29 @@ class TestProductionLPs:
     def test_every_production_lp_is_slack_feasible(self, monkeypatch,
                                                     table1, simplex_passes):
         # every LP, the game oracle's included, is one simplex pass from
-        # its slack basis
-        recorded, recorded_passes = [], []
-        solve = lpcore.solve_lp
+        # its slack basis, and is built by exactly one loss_lp call
+        recorded, recorded_passes, owners = [], [], []
+        solve, loss = lpcore.solve_lp, lpcore.loss_lp
+        open_losses, losses = [], []
 
         def record(lp):
             recorded.append(lp)
+            owners.append(tuple(open_losses))
             before = len(simplex_passes)
             result = solve(lp)
             recorded_passes.append(len(simplex_passes) - before)
             return result
 
+        def record_loss(*args):
+            open_losses.append(len(losses))
+            losses.append(len(recorded))
+            try:
+                return loss(*args)
+            finally:
+                open_losses.pop()
+
         monkeypatch.setattr(lpcore, "solve_lp", record)
+        monkeypatch.setattr(lpcore, "loss_lp", record_loss)
         caches = []
         init = partition._GroupLosses.__init__
 
@@ -210,8 +221,13 @@ class TestProductionLPs:
             for t, run in enumerate(runs):
                 recorded.clear()
                 recorded_passes.clear()
+                owners.clear()
+                losses.clear()
                 caches.clear()
                 run()
+                # loss_lp call i made solve_lp call i, and no other
+                assert owners == [(i,) for i in range(len(losses))]
+                assert losses == list(range(len(losses)))
                 if t in (1, 2):
                     # the exact or greedy partition search solves one LP for each connected
                     # block it cached that the private-operation

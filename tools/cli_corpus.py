@@ -20,7 +20,8 @@ to 1, a CSV table with an all-zero row, and a file with notes, a
 non-congesting resource and an operation of empty usage.  The calls:
 every analysis verb in text and --json, approx --oracle, partition and
 factorize with --k 0 to 4 in both modes, --exclude-resources, hist point
-and range on four instances, and six gen calls.
+and range on four instances, hist range on three boxes at the edge of
+what it accepts (see write_boxes), and six gen calls.
 """
 
 import contextlib
@@ -30,6 +31,8 @@ import json
 import os
 import shlex
 import sys
+
+import numpy as np
 
 RANDOM = [(m, n, d, seed) for seed, (m, n) in enumerate(
     ((12, 5), (30, 8), (60, 8))) for d in (0.25, 0.5, 1.0)]
@@ -66,8 +69,8 @@ def load_gasloss(root):
 
 
 def write_inputs(formats, workdir):
-    """The instance files, by name, and the profile files of the hist
-    calls, written under workdir."""
+    """The instance files, by name, the profile files of the hist calls
+    and the files of the write_boxes calls, written under workdir."""
     def put(name, text):
         path = os.path.join(workdir, name)
         with open(path, "w", encoding="utf-8") as fh:
@@ -97,10 +100,38 @@ def write_inputs(formats, workdir):
             put(f"{name}-{kind}.json", json.dumps(profile))
             for kind, profile in (("freq", freq), ("low", low),
                                   ("high", high)))
-    return files, profiles
+    return files, profiles, write_boxes(formats, put, docs["ecp-yes"],
+                                        files["ecp-yes"])
 
 
-def corpus(files, profiles, workdir):
+def write_boxes(formats, put, ecp_doc, ecp_path):
+    """(instance, low, high) files of three hist range calls.  On a
+    30x8 instance, with the mix that bench's hist_factor workload draws
+    for its seed: that mix rounded to 12 digits (its sum is 1 + 5.2e-13)
+    up to twice the mix, and the point box mix (1 -+ 5e-10).  Both sums
+    are off by no more than the round-off the box check accepts.  Then
+    the whole simplex on the ecp-yes instance, where every column's
+    payoff ties at the optimum."""
+    seed = 100000
+    doc = formats.random_instance_doc(30, 8, 0.5, seed)
+    path = put("near-mix.json", formats.serialize_instance(doc))
+    mix = np.random.default_rng(seed).dirichlet(np.ones(30))
+    k = len(ecp_doc.operations)
+    boxes = []
+    for tag, (inst, inst_doc), low, high in (
+            ("rounded", (path, doc), [float(f"{v:.12g}") for v in mix],
+             2 * mix),
+            ("point", (path, doc), mix * (1 - 5e-10), mix * (1 + 5e-10)),
+            ("simplex", (ecp_path, ecp_doc), np.zeros(k), np.ones(k))):
+        ops = [op for op, _ in inst_doc.operations]
+        boxes.append((inst,) + tuple(
+            put(f"box-{tag}-{side}.json",
+                json.dumps(dict(zip(ops, np.asarray(v).tolist()))))
+            for side, v in (("low", low), ("high", high))))
+    return boxes
+
+
+def corpus(files, profiles, boxes, workdir):
     """Every argv of the corpus, in order."""
     calls = []
     for name, path in files.items():
@@ -123,6 +154,8 @@ def corpus(files, profiles, workdir):
     for name, (freq, low, high) in profiles.items():
         calls.append(["hist", files[name], "--freq", freq])
         calls.append(["hist", files[name], "--low", low, "--high", high])
+    for path, low, high in boxes:
+        calls.append(["hist", path, "--low", low, "--high", high])
     calls.append(["hist", files["table1"]])
     calls.append(["measure", os.path.join(workdir, "missing.json")])
     calls = [argv + extra for argv in calls for extra in ([], ["--json"])]
@@ -155,7 +188,7 @@ def main(argv=None):
     root, workdir = args[0], os.path.abspath(args[1])
     os.makedirs(workdir, exist_ok=True)
     cli, formats = load_gasloss(root)
-    files, profiles = write_inputs(formats, workdir)
+    files, profiles, boxes = write_inputs(formats, workdir)
 
     def masked(text):
         return text.replace(workdir, "WORKDIR")
@@ -163,7 +196,7 @@ def main(argv=None):
     def digest(text):
         return hashlib.sha256(masked(text).encode()).hexdigest()
 
-    for call in corpus(files, profiles, workdir):
+    for call in corpus(files, profiles, boxes, workdir):
         code, out, err = run(cli, call)
         print(code, digest(out), digest(err),
               masked(shlex.join(call)), flush=True)
