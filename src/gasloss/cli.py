@@ -7,9 +7,16 @@ verb's text renderer (_text_<verb>), which reads only the payload.
 Warnings and diagnostics go to stderr.  Exit codes: 0 success, otherwise
 the exit_code of the error class raised (2 input error, 3 numerical
 failure, 4 capability limit).
+
+The argument parser is built once per process, at the first main call,
+and shared: parse_args leaves it unchanged and fills a fresh Namespace
+(set_defaults gives func, handler, render and option defaults), nothing
+rebinds the handlers, and help text is formatted when printed, at the
+terminal width of that moment.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -226,6 +233,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="gasloss",

@@ -191,7 +191,12 @@ def load_profile(path, instance: model.ResourceInstance) -> np.ndarray:
 
 
 def load_bounds(path, instance: model.ResourceInstance) -> np.ndarray:
-    """Load per-operation bounds for range mode (not renormalized)."""
+    """Load per-operation bounds for range mode (not renormalized).
+
+    The weight of an operation the instance dropped for its empty usage
+    (dropped_operations) is ignored: it loads no resource, so the point
+    loss does not depend on it once load_profile renormalizes the mix over
+    the remaining operations, and range bounds apply to their mix."""
     text = _read_text(path, "profile")
     try:
         doc = json.loads(text)
@@ -199,10 +204,21 @@ def load_bounds(path, instance: model.ResourceInstance) -> np.ndarray:
         raise InstanceError(f"malformed profile file: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceError("profile must be a JSON object")
-    names = set(instance.operation_names)
-    unknown = sorted(set(doc) - names)
+    unknown = sorted(set(doc).difference(instance.operation_names,
+                                         instance.dropped_operations))
     if unknown:
         raise InstanceError(f"profile names unknown operations: {unknown}")
+    values = [doc.get(name, 0.0) for name in instance.operation_names]
+    # all JSON numbers: one conversion and one check each; on any failure
+    # the loop below names the first bad operation in instance order
+    if model._AMOUNT_TYPES.issuperset(map(type, values)):
+        try:
+            out = np.array(values, dtype=float)
+        except OverflowError:   # an integer beyond float range
+            pass
+        else:
+            if np.isfinite(out).all() and (out >= 0).all():
+                return out
     out = np.zeros(instance.num_operations)
     for i, name in enumerate(instance.operation_names):
         try:

@@ -36,6 +36,7 @@ class ResourceInstance:
     capacities: np.ndarray
     excluded_resources: tuple = ()
     warnings: tuple = ()
+    dropped_operations: tuple = ()  # declared, but with all-zero usage
 
     @property
     def num_operations(self):
@@ -72,7 +73,7 @@ def instance_from_arrays(operation_names, resource_names, usage, capacities,
 
     Non-congesting resources (congesting[j] is False) and resources named
     in extra_excluded are removed before any checks, and recorded.
-    All-zero operation rows are dropped with a warning.
+    All-zero operation rows are dropped with a warning (dropped_operations).
     """
     op_names = [str(s) for s in operation_names]
     res_names = [str(s) for s in resource_names]
@@ -125,20 +126,18 @@ def instance_from_arrays(operation_names, resource_names, usage, capacities,
             f"usage of operation {op_names[i]!r} on resource "
             f"{res_names[j]!r} is negative")
 
-    warnings = []
     nonzero = np.any(usage > 0, axis=1)
-    for i in np.flatnonzero(~nonzero):
-        warnings.append(
-            f"operation {op_names[i]!r} uses no resources and was dropped")
+    dropped = tuple(n for n, ok in zip(op_names, nonzero) if not ok)
+    warnings = tuple(f"operation {name!r} uses no resources and was dropped"
+                     for name in dropped)
     op_names = [n for n, ok in zip(op_names, nonzero) if ok]
     usage = usage[nonzero]
     if not op_names:
         raise InstanceError("no operations with positive usage remain")
 
     return ResourceInstance(
-        tuple(op_names), tuple(res_names),
-        _frozen_array(usage, 2), _frozen_array(capacities, 1),
-        excluded_resources=excluded, warnings=tuple(warnings))
+        tuple(op_names), tuple(res_names), _frozen_array(usage, 2),
+        _frozen_array(capacities, 1), excluded, warnings, dropped)
 
 
 # JSON values that float() would convert but that are not numbers

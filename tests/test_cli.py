@@ -317,6 +317,32 @@ class TestHist:
         assert out == ""
         assert f"error: {problem} weight for operation 'Op1'" in err
 
+    # the instance file declares the operation, but it loads no resource
+    # (an all-zero row, or one whose only resource is excluded)
+    @pytest.mark.parametrize("flags, dropped", [
+        ([], "idle"), (["--exclude-resources", "r3"], "r3_only")])
+    def test_profile_may_name_dropped_operation(self, capsys, tmp_path,
+                                                flags, dropped):
+        table = tmp_path / "t.csv"
+        table.write_text("op,r1,r2,r3\na,1,0,0\nidle,0,0,0\nb,0,2,0\n"
+                         "r3_only,0,0,1\nc,1,1,1\ncapacity,4,6,5\n")
+        profiles = {}
+        for tag, extra in (("named", {dropped: 7}), ("unnamed", {})):
+            for kind, weight in (("freq", 1), ("low", 0.1), ("high", 0.6)):
+                path = tmp_path / f"{tag}-{kind}.json"
+                path.write_text(json.dumps(
+                    {"a": weight, "b": 2 * weight / 3, "c": weight, **extra}))
+                profiles[tag, kind] = str(path)
+        for mode in (["freq"], ["low", "high"]):
+            results = [run(capsys, "hist", str(table), *flags, *(
+                arg for kind in mode
+                for arg in (f"--{kind}", profiles[tag, kind])))
+                for tag in ("named", "unnamed")]
+            assert results[0] == results[1]
+            code, out, err = results[0]
+            assert code == 0 and "alpha_hist" in out
+            assert f"operation '{dropped}' uses no resources" in err
+
     def test_missing_profile_exits_2(self, capsys, table1_path, tmp_path):
         code, out, err = run(capsys, "hist", table1_path,
                              "--freq", str(tmp_path / "none.json"))
@@ -579,3 +605,66 @@ class TestExitCodes:
         classes = (InstanceError, NumericalFailure, TooManyResources)
         assert {name: int(code) for code, name in table} == {
             cls.__name__: cls.exit_code for cls in classes}
+
+
+def run_first(capsys, *argv):
+    """run() as the first call of a process: with a newly built parser."""
+    cli._build_parser.cache_clear()
+    return run(capsys, *argv)
+
+
+# pairs of calls that differ in one option or mode, so that a default or
+# a value left behind in the shared parser by the first would show
+REUSE_PAIRS = {
+    "approx-oracle": (("approx", "{table1}", "--oracle"),
+                      ("approx", "{table1}")),
+    "partition-mode": (("partition", "{table1}", "--k", "2", "--mode",
+                        "greedy", "--json"),
+                       ("partition", "{table1}", "--k", "2", "--json")),
+    "hist-mode": (("hist", "{table1}", "--freq", "{ones}"),
+                  ("hist", "{table1}", "--low", "{empty}", "--high",
+                   "{ones}")),
+    "exclude": (("approx", "{table1}", "--exclude-resources", "r2"),
+                ("approx", "{table1}")),
+    "json": (("measure", "{table1}", "--json"), ("measure", "{table1}")),
+}
+
+
+class TestParserReuse:
+    def test_parser_built_once(self, capsys, golden_paths):
+        cli._build_parser.cache_clear()
+        calls = [argv for pair in REUSE_PAIRS.values() for argv in pair]
+        for argv in calls:
+            assert run(capsys, *(a.format(**golden_paths)
+                                 for a in argv))[0] == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(calls) - 1)
+
+    @pytest.mark.parametrize("pair", sorted(REUSE_PAIRS))
+    def test_sequence_matches_first_calls(self, capsys, golden_paths, pair):
+        first, second = ([a.format(**golden_paths) for a in argv]
+                         for argv in REUSE_PAIRS[pair])
+        alone = [run_first(capsys, *first), run_first(capsys, *second)]
+        assert alone[0] != alone[1]
+        for argvs, expected in (((first, second), alone),
+                                ((second, first), alone[::-1])):
+            cli._build_parser.cache_clear()
+            assert [run(capsys, *argv) for argv in argvs] == expected
+
+    def test_help_follows_columns_when_printed(self, capsys, monkeypatch,
+                                               table1_path):
+        monkeypatch.setenv("COLUMNS", "100")
+        run_first(capsys, "measure", table1_path)
+        texts = []
+        for columns in ("50", "160"):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit) as info:
+                cli.main(["approx", "--help"])
+            assert info.value.code == 0
+            shared = capsys.readouterr().out
+            with pytest.raises(SystemExit):
+                cli._build_parser.__wrapped__().parse_args(
+                    ["approx", "--help"])
+            assert shared == capsys.readouterr().out
+            texts.append(shared)
+        assert texts[0] != texts[1]

@@ -265,6 +265,69 @@ class TestProfiles:
         with pytest.raises(InstanceError):
             formats.load_profile(path, table1)
 
+    @pytest.mark.parametrize("weight, problem", [
+        ("NaN", "non-finite"), ("Infinity", "non-finite"),
+        ("-Infinity", "non-finite"),
+        ("9" * 401, "non-finite"), ("-1", "negative"), ("-0.5", "negative"),
+        ("null", "non-numeric"), ('"2"', "non-numeric"),
+        ("false", "non-numeric")])
+    def test_first_bad_entry_after_valid_floats(self, tmp_path, table1,
+                                                weight, problem):
+        path = tmp_path / "f.json"
+        path.write_text('{"Op1": 0.5, "Op2": 1.5, "Op3": %s, "Op4": 2.0}'
+                        % weight)
+        for load in (formats.load_profile, formats.load_bounds):
+            with pytest.raises(InstanceError) as info:
+                load(path, table1)
+            assert str(info.value) == (
+                f"{problem} weight for operation 'Op3'")
+
+    # the file lists its bad entries out of instance order
+    @pytest.mark.parametrize("text, message", [
+        ('{"Op1": 1, "Op4": "x", "Op2": -1}',
+         "negative weight for operation 'Op2'"),
+        ('{"Op3": NaN, "Op2": true}',
+         "non-numeric weight for operation 'Op2'"),
+        ('{"Op4": -2, "Op1": 0.5, "Op3": Infinity}',
+         "non-finite weight for operation 'Op3'"),
+        ('{"Op2": %s, "Op3": null}' % ("9" * 401),
+         "non-finite weight for operation 'Op2'")])
+    def test_two_bad_entries_name_the_first_in_instance_order(
+            self, tmp_path, table1, text, message):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        with pytest.raises(InstanceError) as info:
+            formats.load_bounds(path, table1)
+        assert str(info.value) == message
+
+    def test_int_profile_equals_float_profile(self, tmp_path, table1):
+        ints, floats = tmp_path / "i.json", tmp_path / "f.json"
+        ints.write_text('{"Op1": 3, "Op2": 0, "Op4": %d}' % 10**20)
+        floats.write_text('{"Op1": 3.0, "Op2": 0.0, "Op4": 1e20}')
+        for load in (formats.load_profile, formats.load_bounds):
+            a, b = load(ints, table1), load(floats, table1)
+            assert a.dtype == b.dtype == np.float64
+            assert np.array_equal(a, b)
+        assert np.array_equal(formats.load_bounds(ints, table1),
+                              [3, 0, 0, 1e20])
+
+    def test_weight_of_dropped_operation_ignored(self, tmp_path):
+        inst = formats.parse_instance(
+            "op,r1,r2\na,1,0\nidle,0,0\nb,0,2\ncapacity,1,1\n"
+        ).to_instance()
+        assert inst.dropped_operations == ("idle",)
+        named, unnamed = tmp_path / "named.json", tmp_path / "unnamed.json"
+        named.write_text('{"a": 1, "idle": 6, "b": 3}')
+        unnamed.write_text('{"a": 1, "b": 3}')
+        for load in (formats.load_profile, formats.load_bounds):
+            assert np.array_equal(load(named, inst), load(unnamed, inst))
+        assert np.array_equal(formats.load_profile(named, inst),
+                              [0.25, 0.75])
+        only_idle = tmp_path / "idle.json"
+        only_idle.write_text('{"idle": 1}')
+        with pytest.raises(InstanceError, match="no positive weight"):
+            formats.load_profile(only_idle, inst)
+
 
 class TestGenerators:
     def test_random_is_seed_deterministic(self):

@@ -22,6 +22,18 @@ class TestValidation:
         assert inst.operation_names == ("b",)
         assert len(inst.warnings) == 1 and "'a'" in inst.warnings[0]
 
+    def test_dropped_operations_recorded(self):
+        inst = model.instance_from_arrays(
+            ["a", "b", "c"], ["r1", "r2"], [[0, 0], [1, 0], [0, 2]], [1, 1])
+        assert inst.dropped_operations == ("a",)
+        assert inst.operation_names == ("b", "c")
+        # a row that the exclusion empties is dropped as well
+        inst = model.instance_from_arrays(
+            ["a", "b", "c"], ["r1", "r2"], [[0, 0], [1, 0], [0, 2]], [1, 1],
+            extra_excluded=["r2"])
+        assert inst.dropped_operations == ("a", "c")
+        assert len(inst.warnings) == 2 and "'c'" in inst.warnings[1]
+
     def test_zero_capacity_rejected(self):
         with pytest.raises(InstanceError,
                            match="capacity of resource 'r2' must be positive"):

@@ -21,7 +21,11 @@ non-congesting resource and an operation of empty usage.  The calls:
 every analysis verb in text and --json, approx --oracle, partition and
 factorize with --k 0 to 4 in both modes, --exclude-resources, hist point
 and range on four instances, hist range on three boxes at the edge of
-what it accepts (see write_boxes), and six gen calls.
+what it accepts (see write_boxes), six gen calls, --help of the program
+and of each verb, and four calls that argparse refuses.  All run in one
+process, so they share whatever state the CLI keeps between calls.
+COLUMNS is pinned to 80, so help and usage text do not depend on the
+terminal.
 """
 
 import contextlib
@@ -167,6 +171,12 @@ def corpus(files, profiles, boxes, workdir):
                "--density", "0.5", "--seed", "3"],
               ["gen", "random", "--ops", "5", "--resources", "3",
                "--out", os.path.join(workdir, "gen-random.json")]]
+    calls += [["--help"]] + [[verb, "--help"] for verb in (
+        "measure", "approx", "partition", "factorize", "hist", "gen")]
+    calls += [["nosuch", files["table1"]],
+              ["partition", files["table1"]],
+              ["partition", files["table1"], "--k", "2", "--mode", "alt"],
+              ["factorize", files["table1"], "--k", "2", "--mode", "exact"]]
     return calls
 
 
@@ -187,6 +197,7 @@ def main(argv=None):
         sys.exit(__doc__.split("\n\n")[1])
     root, workdir = args[0], os.path.abspath(args[1])
     os.makedirs(workdir, exist_ok=True)
+    os.environ["COLUMNS"] = "80"
     cli, formats = load_gasloss(root)
     files, profiles, boxes = write_inputs(formats, workdir)
 
